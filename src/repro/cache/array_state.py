@@ -41,6 +41,30 @@ from repro.errors import SimulationError
 from repro.trace.record import DeviceID
 
 
+def partition_victim(tags: list, touch: list, base: int,
+                     allowed: tuple) -> int:
+    """Global way a fill restricted to a tenant partition takes.
+
+    ``allowed`` holds the partition's local way indices, ascending; the
+    set's ways start at global index ``base``.  The first invalid allowed
+    way wins, else the least recently touched allowed way — the rule of
+    :meth:`SetAssociativeCache._partition_victim` over flat arrays.  The
+    caller tells a free way from a victim by ``tags[way] is None``.  Shared
+    by :meth:`ArrayCache.fill` and the batch engine's fill sites.
+    """
+    way = base + allowed[0]
+    oldest_touch = None
+    for local in allowed:
+        candidate = base + local
+        if tags[candidate] is None:
+            return candidate
+        age = touch[candidate]
+        if oldest_touch is None or age < oldest_touch:
+            oldest_touch = age
+            way = candidate
+    return way
+
+
 class ArrayCache:
     """One system-cache slice held as flat arrays (LRU only)."""
 
@@ -78,9 +102,8 @@ class ArrayCache:
         self._tags_np = np.full(capacity, -1, dtype=np.int64)
         self._tags_stale = False
         # Tenant way partitions (DeviceID value → local way indices), same
-        # rule as the scalar cache.  The fused batch loop refuses
-        # partitioned configs, but the scalar-API fill keeps the two
-        # classes drop-in interchangeable for direct callers.
+        # rule as the scalar cache; :func:`partition_victim` picks the way
+        # here and in the batch engine's fused fill sites.
         self._partition_ways: Dict[int, tuple] = {
             DeviceID[name].value: tuple(
                 way for way in range(config.associativity)
@@ -205,84 +228,27 @@ class ArrayCache:
             raise SimulationError(f"double fill of block {block_addr:#x}")
         set_index = block_addr & self._set_mask
         free = self._free[set_index]
+        tags = self._tags
         allowed = (self._partition_ways.get(requester)
                    if self._partition_ways else None)
         if allowed is not None:
-            return self._fill_partitioned(block_addr, set_index, allowed,
-                                          ready_time, prefetched, source,
-                                          dirty)
-        eviction: Optional[EvictionInfo] = None
-        if free:
+            way = partition_victim(tags, self._touch,
+                                   set_index * self.associativity, allowed)
+            victim_tag = tags[way]
+            if victim_tag is None:
+                free.remove(way)
+        elif free:
             way = free.pop(0)
-            self._occupancy += 1
+            victim_tag = None
         else:
             base = set_index * self.associativity
             ages = self._touch[base:base + self.associativity]
             way = base + ages.index(min(ages))
-            victim_tag = self._tags[way]
-            del self._map[victim_tag]
-            eviction = EvictionInfo(
-                tag=victim_tag, dirty=self._dirty[way],
-                prefetched=self._prefetched[way], source=self._source[way],
-            )
-            if self._dirty[way]:
-                self.stats.writebacks += 1
-            if self._prefetched[way]:
-                self._resident_prefetches -= 1
-                if self._source[way] is not None:
-                    self.stats.prefetch_unused_evicted[self._source[way]] = (
-                        self.stats.prefetch_unused_evicted.get(
-                            self._source[way], 0) + 1
-                    )
-        self._tags[way] = block_addr
-        self._tags_np[way] = block_addr
-        self._map[block_addr] = way
-        self._dirty[way] = dirty
-        self._prefetched[way] = prefetched
-        self._source[way] = source if prefetched else None
-        self._ready[way] = ready_time
-        self._tick += 1
-        self._touch[way] = self._tick
-        if prefetched:
-            self._resident_prefetches += 1
-            self.stats.prefetch_fills += 1
-        else:
-            self.stats.demand_fills += 1
-        return eviction
-
-    def _fill_partitioned(
-        self,
-        block_addr: int,
-        set_index: int,
-        allowed: tuple,
-        ready_time: int,
-        prefetched: bool,
-        source: Optional[str],
-        dirty: bool,
-    ) -> Optional[EvictionInfo]:
-        """Fill restricted to a tenant partition: first invalid allowed way
-        wins, else LRU among the allowed ways (mirrors
-        :meth:`SetAssociativeCache._partition_victim`)."""
-        base = set_index * self.associativity
-        way = base + allowed[0]
-        oldest_touch = None
-        found_invalid = False
-        for local in allowed:
-            candidate = base + local
-            if self._tags[candidate] is None:
-                way = candidate
-                found_invalid = True
-                break
-            touch = self._touch[candidate]
-            if oldest_touch is None or touch < oldest_touch:
-                oldest_touch = touch
-                way = candidate
+            victim_tag = tags[way]
         eviction: Optional[EvictionInfo] = None
-        if found_invalid:
-            self._free[set_index].remove(way)
+        if victim_tag is None:
             self._occupancy += 1
         else:
-            victim_tag = self._tags[way]
             del self._map[victim_tag]
             eviction = EvictionInfo(
                 tag=victim_tag, dirty=self._dirty[way],
@@ -297,7 +263,7 @@ class ArrayCache:
                         self.stats.prefetch_unused_evicted.get(
                             self._source[way], 0) + 1
                     )
-        self._tags[way] = block_addr
+        tags[way] = block_addr
         self._tags_np[way] = block_addr
         self._map[block_addr] = way
         self._dirty[way] = dirty

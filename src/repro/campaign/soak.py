@@ -2,7 +2,9 @@
 
 Feeds the :class:`~repro.tenancy.merge.StreamingTraceMerger` interleave
 against one service endpoint for a wall-clock duration — recreating the
-merger whenever it runs dry, so the load never stops — while
+merger whenever it runs dry, so the load never stops, with each replay's
+arrival times shifted past the previous replay's last record so the
+session's stream stays in order — while
 periodically sampling the server's health verdict, session-manager
 counters (backpressure waits included) and per-op span latency
 percentiles over the same connection.  The resulting time-series is
@@ -24,6 +26,7 @@ from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.tenancy.merge import StreamingTraceMerger
 from repro.tenancy.spec import TenantSpec
+from repro.trace.buffer import TraceBuffer
 from repro.utils.provenance import runtime_provenance
 
 from repro.campaign.spec import CampaignSpec
@@ -96,6 +99,8 @@ def run_soak(spec: CampaignSpec, endpoint: str,
     samples = []
     records_fed = 0
     replays = 0
+    time_offset = 0  # added to the current replay's arrival times
+    last_time = 0
     with ServiceClient.connect(host, port) as client:
         try:
             client.close_session(session)
@@ -124,7 +129,13 @@ def run_soak(spec: CampaignSpec, endpoint: str,
                 merger = StreamingTraceMerger(tenant_specs,
                                               base_config.layout)
                 replays += 1
+                time_offset = last_time + 1
             chunk = merger.next_chunk(soak.chunk_records)
+            if time_offset:
+                chunk = TraceBuffer(chunk.addresses, chunk.access_types,
+                                    chunk.devices,
+                                    chunk.arrival_times + time_offset)
+            last_time = max(last_time, int(chunk.arrival_times.max()))
             client.feed(session, chunk)
             records_fed += len(chunk)
         elapsed = time.perf_counter() - started

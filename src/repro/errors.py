@@ -25,6 +25,14 @@ class SimulationError(ReproError):
     """The simulation engine reached an inconsistent state."""
 
 
+class TraceOrderError(SimulationError):
+    """A chunk's arrival times step back by more than one refresh interval.
+
+    Raised where a chunk enters ``run``/``feed``, before any simulator
+    state changes, identically on the scalar and batch engines.
+    """
+
+
 class AddressError(ReproError):
     """An address is out of range or violates the configured layout."""
 

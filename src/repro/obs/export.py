@@ -284,6 +284,9 @@ METRIC_HELP: Dict[str, str] = {
     "lineage_pollution_total":
         "Evicted-unused prefetches attributed to the triggering tenant "
         "device.",
+    "engine_fallback_total":
+        "Engine chunks run on the scalar loop instead of the batch engine, "
+        "by reason (explicit_scalar, non_lru_policy, restored_prefetches).",
 }
 
 
@@ -441,6 +444,14 @@ def lineage_samples(name: str, summary: dict) -> List[Sample]:
         samples.append(("lineage_pollution_total",
                         {**labels, "device": device}, count, "counter"))
     return samples
+
+
+def fallback_samples(name: str, counts: Dict[str, int]) -> List[Sample]:
+    """Prometheus samples for a session's scalar-loop chunk counts
+    (see :meth:`repro.sim.engine.SystemSimulator.fallback_counts`)."""
+    return [("engine_fallback_total", {"session": name, "reason": reason},
+             count, "counter")
+            for reason, count in counts.items()]
 
 
 def span_samples(summary: Dict[str, Dict[str, float]]) -> List[Sample]:

@@ -33,11 +33,10 @@ blocks resolve to the four final fates ``used_timely``, ``used_late``,
 
 Neutrality contract (same as the rest of ``repro.obs``): hooks only
 *read* simulated state — RunMetrics and epoch timelines are bit-identical
-lineage-on vs lineage-off (``tests/test_lineage.py``).  The one engine
-consequence of attaching is that :meth:`ChannelSimulator.run_buffer`
-falls back from the vectorized batch loop to the scalar loop (the batch
-loop elides the per-candidate queue/fill path lineage observes); the
-fallback is bit-identical by the batch-oracle contract.
+lineage-on vs lineage-off (``tests/test_lineage.py``).  Both engines
+report from the same sites, so a lineage run stays on whichever engine
+the simulator resolved, and the collector's state is identical on either
+(``tests/test_batch_oracle.py``).
 
 Accounting invariants (checked by tests and ``repro explain``):
 
@@ -324,9 +323,10 @@ class LineageCollector:
         self.fate_ring.append(
             (now, self.channel, block_addr, source, bucket, fate))
 
-    def note_evicted(self, eviction, now: int) -> None:
+    def note_evicted(self, block_addr: int, source: Optional[str],
+                     now: int) -> None:
         """A still-unused prefetched block fell out of the cache."""
-        self._resolve(eviction.tag, eviction.source, "evicted_unused", now)
+        self._resolve(block_addr, source, "evicted_unused", now)
 
     def note_invalidated(self, block_addr: int, source: Optional[str],
                          now: int = 0) -> None:
@@ -488,8 +488,8 @@ def attach_lineage(simulator,
 
     Builds one :class:`LineageCollector` per channel and wires it into
     the channel's hook points.  Attach before driving records; attaching
-    never changes simulated state or ``RunMetrics`` (the engine only
-    swaps its vectorized batch loop for the bit-identical scalar loop).
+    never changes simulated state, ``RunMetrics`` or the engine a chunk
+    runs on.
     """
     for channel_sim in simulator.channels:
         wire_channel_lineage(channel_sim, LineageCollector(

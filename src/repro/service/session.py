@@ -505,9 +505,9 @@ class SessionManager:
 
     def metrics_text(self) -> str:
         """Prometheus text exposition covering every live session."""
-        from repro.obs.export import (epoch_samples, health_samples,
-                                      lineage_samples, prometheus_text,
-                                      snapshot_samples)
+        from repro.obs.export import (epoch_samples, fallback_samples,
+                                      health_samples, lineage_samples,
+                                      prometheus_text, snapshot_samples)
 
         with self._lock:
             sessions = [self._sessions[name]
@@ -524,6 +524,8 @@ class SessionManager:
             if session.lineage is not None:
                 samples.extend(lineage_samples(session.name,
                                                session.lineage.summary()))
+            samples.extend(fallback_samples(
+                session.name, session.simulator.fallback_counts()))
         samples.extend(health_samples(self.health_report()))
         if self.spans.enabled:
             from repro.obs.export import span_samples

@@ -45,23 +45,35 @@ several times faster.  Where the speed comes from:
   trigger's ``observe`` folds into the flush, preserving the exact
   scalar observe→issue order), at page changes, and at chunk end.
 
-Scalar fallbacks happen exactly at the boundaries the tentpole calls out:
+* **Tenant way partitions** — a fill whose requester (the record's
+  device; for a prefetch fill, the device whose access triggered it) has
+  a configured partition takes its way from
+  :func:`repro.cache.array_state.partition_victim`, the helper
+  ``ArrayCache.fill`` uses.  Unpartitioned configs pay one truthiness
+  test and one victim-tag test per fill.
+* **Lineage** — an attached :class:`~repro.obs.lineage.LineageCollector`
+  hears from the same rare branches the scalar loop reports from
+  (prefetch-served access, skipped/unfilled/filled candidate, eviction of
+  a prefetched block); queue-gate and issue-origin hooks fire from the
+  queue and the prefetcher themselves.
+
+Work runs per event, not deferred, exactly at these boundaries:
 prefetch-queue activity, throttle state flips
 (``notify_useful``/``notify_unused`` fire immediately, never deferred) and
 epoch closes (observability slices chunks before this function runs, so
-every epoch boundary is also a batch boundary).  Two conditions fall all
+every epoch boundary is also a batch boundary).  One condition falls all
 the way back to the scalar loop (:func:`run_buffer_batch` returns False):
 a passive run over a cache still holding live prefetched blocks (a
 restored checkpoint from an active run — the fused demand loop elides the
-prefetch-consumption bookkeeping), and that path only; everything else
-runs here.
+prefetch-consumption bookkeeping); everything else runs here.
 
 Preconditions the batch loops *assume* instead of checking per record:
 
-* arrival times are non-decreasing (the engine contract).  The scalar
-  ``service_scalar`` raises ``SimulationError`` for far-out-of-order
-  requests; the batch loops drop that guard — a violating trace must be
-  run under ``engine_mode="scalar"`` to see the diagnostic.
+* arrival times never step back by more than tREFI (the engine
+  contract).  ``ChannelSimulator.run`` checks it once per chunk, before
+  either engine changes any state, and raises ``TraceOrderError``; the
+  loops here drop the per-request guard of ``service_scalar``, which
+  stays for direct DRAM callers.
 
 Reordering-soundness notes (why deferral is exact):
 
@@ -81,6 +93,7 @@ from __future__ import annotations
 
 import gc
 
+from repro.cache.array_state import partition_victim
 from repro.sim import kernels
 from repro.trace.buffer import _DEVICE_BY_VALUE
 from repro.utils.statistics import RunningStats
@@ -362,11 +375,6 @@ def run_buffer_batch(sim, buffer, warmup_records: int = 0) -> bool:
     cache = sim.cache
     if passive and cache._resident_prefetches:
         return False
-    if sim.lineage is not None:
-        # Lineage needs the scalar per-candidate queue/fill path; the
-        # run_buffer gate already routes around this loop, kept here as
-        # defence in depth for direct callers.
-        return False
 
     sim.set_warmup(warmup_records, records_seen_hint=sim._records_seen)
     total = len(buffer)
@@ -442,6 +450,7 @@ def _run_passive(sim, block_addrs, times, read_col, device_col,
     ready = cache._ready
     touch = cache._touch
     free_lists = cache._free
+    partitions = cache._partition_ways
     set_mask = cache._set_mask
     assoc = cache.associativity
     tick = cache._tick
@@ -520,8 +529,9 @@ def _run_passive(sim, block_addrs, times, read_col, device_col,
             # Warmup segment (no metrics): cold path, closure-based DRAM.
             service, dram_sync = _dram_closures(dram, rd_lats, [], wb_cell)
             try:
-                for block_addr, is_read, now in zip(
-                        block_addrs[0:cut], read_col[0:cut], times[0:cut]):
+                for block_addr, is_read, device_value, now in zip(
+                        block_addrs[0:cut], read_col[0:cut],
+                        device_col[0:cut], times[0:cut]):
                     way = map_get(block_addr, -1)
                     if way >= 0:
                         tick += 1
@@ -534,14 +544,23 @@ def _run_passive(sim, block_addrs, times, read_col, device_col,
                     completion = service(block_addr, now, 0, "")
                     set_index = block_addr & set_mask
                     free = free_lists[set_index]
-                    if free:
+                    if partitions and device_value in partitions:
+                        way = partition_victim(tags, touch, set_index * assoc,
+                                               partitions[device_value])
+                        victim_tag = tags[way]
+                        if victim_tag is None:
+                            free.remove(way)
+                            occupancy += 1
+                    elif free:
                         way = free.pop(0)
                         occupancy += 1
+                        victim_tag = None
                     else:
                         base = set_index * assoc
                         ages = touch[base:base + assoc]
                         way = base + ages.index(min(ages))
                         victim_tag = tags[way]
+                    if victim_tag is not None:
                         del cmap[victim_tag]
                         if dirty[way]:
                             service(victim_tag, now, 2, "")
@@ -795,14 +814,24 @@ def _run_passive(sim, block_addrs, times, read_col, device_col,
                         # victims can exist on this path).
                         set_index = block_addr & set_mask
                         free = free_lists[set_index]
-                        if free:
+                        if partitions and device_value in partitions:
+                            way = partition_victim(
+                                tags, touch, set_index * assoc,
+                                partitions[device_value])
+                            victim_tag = tags[way]
+                            if victim_tag is None:
+                                free.remove(way)
+                                occupancy += 1
+                        elif free:
                             way = free.pop(0)
                             occupancy += 1
+                            victim_tag = None
                         else:
                             base = set_index * assoc
                             ages = touch[base:base + assoc]
                             way = base + ages.index(min(ages))
                             victim_tag = tags[way]
+                        if victim_tag is not None:
                             del cmap[victim_tag]
                             if dirty[way]:
                                 # Dirty victim → write-back (service_scalar
@@ -1086,6 +1115,7 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
     ready = cache._ready
     touch = cache._touch
     free_lists = cache._free
+    partitions = cache._partition_ways
     set_mask = cache._set_mask
     assoc = cache.associativity
     tick = cache._tick
@@ -1138,6 +1168,7 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
     queue_push = sim.queue.push
     queue_pop_all = sim.queue.pop_all
     notify_useful = prefetcher.notify_useful
+    lineage = sim.lineage
     observe = prefetcher.observe
     observe_run = prefetcher.observe_run
     issue = prefetcher.issue
@@ -1199,14 +1230,23 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                     completion = dram_service(block_addr, now, 0, "")
                     set_index = block_addr & set_mask
                     free = free_lists[set_index]
-                    if free:
+                    if partitions and device_value in partitions:
+                        way = partition_victim(tags, touch, set_index * assoc,
+                                               partitions[device_value])
+                        victim_tag = tags[way]
+                        if victim_tag is None:
+                            free.remove(way)
+                            occupancy += 1
+                    elif free:
                         way = free.pop(0)
                         occupancy += 1
+                        victim_tag = None
                     else:
                         base = set_index * assoc
                         ages = touch[base:base + assoc]
                         way = base + ages.index(min(ages))
                         victim_tag = tags[way]
+                    if victim_tag is not None:
                         del cmap[victim_tag]
                         victim_dirty = dirty[way]
                         if prefetched[way]:
@@ -1216,6 +1256,9 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                                 unused_evicted[victim_source] = (
                                     unused_evicted.get(victim_source, 0) + 1)
                             prefetcher.notify_unused()
+                            if lineage is not None:
+                                lineage.note_evicted(victim_tag,
+                                                     victim_source, now)
                         if victim_dirty:
                             dram_service(victim_tag, now, 2, "")
                     tags[way] = block_addr
@@ -1283,6 +1326,9 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
 
                 if prefetch_source is not None:
                     notify_useful()
+                    if lineage is not None:
+                        lineage.note_used(block_addr, prefetch_source,
+                                          not hit, now)
 
                 if batching:
                     if page != run_page:
@@ -1320,27 +1366,44 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                         access, hit, hit and prefetch_source is not None)
 
                 if candidates and queue_push(candidates):
-                    # _service_prefetches, inlined over the same locals.
+                    # _service_prefetches, inlined over the same locals;
+                    # the fills land in the triggering device's partition.
                     if not prefetch_fill_sc:
-                        queue_pop_all()
+                        if lineage is None:
+                            queue_pop_all()
+                        else:
+                            for candidate in queue_pop_all():
+                                lineage.note_unfilled(candidate)
                         continue
                     for candidate in queue_pop_all():
                         candidate_block = candidate.block_addr
                         if candidate_block in cmap:
+                            if lineage is not None:
+                                lineage.note_skip_resident(candidate)
                             continue
                         candidate_source = candidate.source
                         completion = dram_service(candidate_block, now, 1,
                                                   candidate_source)
                         set_index = candidate_block & set_mask
                         free = free_lists[set_index]
-                        if free:
+                        if partitions and device_value in partitions:
+                            way = partition_victim(
+                                tags, touch, set_index * assoc,
+                                partitions[device_value])
+                            victim_tag = tags[way]
+                            if victim_tag is None:
+                                free.remove(way)
+                                occupancy += 1
+                        elif free:
                             way = free.pop(0)
                             occupancy += 1
+                            victim_tag = None
                         else:
                             base = set_index * assoc
                             ages = touch[base:base + assoc]
                             way = base + ages.index(min(ages))
                             victim_tag = tags[way]
+                        if victim_tag is not None:
                             del cmap[victim_tag]
                             victim_dirty = dirty[way]
                             if prefetched[way]:
@@ -1351,6 +1414,9 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                                         unused_evicted.get(victim_source, 0)
                                         + 1)
                                 prefetcher.notify_unused()
+                                if lineage is not None:
+                                    lineage.note_evicted(victim_tag,
+                                                         victim_source, now)
                             if victim_dirty:
                                 dram_service(victim_tag, now, 2, "")
                         tags[way] = candidate_block
@@ -1362,6 +1428,8 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                         tick += 1
                         touch[way] = tick
                         resident_pf += 1
+                        if lineage is not None:
+                            lineage.note_fill(candidate, device_value, now)
 
         # Chunk end is a batch boundary: flush the open hit run and apply
         # the skipped hit-trigger compensation in one call.

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.cache.cache import _PLAIN_HIT, _PLAIN_MISS, SetAssociativeCache
 from repro.config import SimConfig
 from repro.dram.channel import DRAMChannel
 from repro.dram.request import MemRequest, RequestKind
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TraceOrderError
 from repro.power.model import MemorySystemPower
 from repro.power.prefetcher_power import PrefetcherActivity
 from repro.prefetch.base import DemandAccess, Prefetcher
@@ -56,6 +58,14 @@ class _FastDemandAccess:
                  "time", "is_read", "device")
 
 
+#: Why a run_buffer() chunk ran on the scalar loop: an explicit
+#: ``engine_mode="scalar"``, an ``"auto"`` mode resolved to scalar by a
+#: non-LRU replacement policy, or a passive run over prefetched blocks a
+#: restored checkpoint left resident (the batch engine declines it).
+FALLBACK_REASONS = ("explicit_scalar", "non_lru_policy",
+                    "restored_prefetches")
+
+
 class ChannelSimulator:
     """SC slice + DRAM channel + prefetcher for one channel.
 
@@ -65,14 +75,16 @@ class ChannelSimulator:
       (the always-available oracle; supports every replacement policy).
     * ``"batch"`` — the vectorized chunk engine (:mod:`repro.sim.batch`)
       over :class:`~repro.cache.array_state.ArrayCache`; bit-identical to
-      scalar (``tests/test_batch_oracle.py``) but LRU-only.
+      scalar (``tests/test_batch_oracle.py``) but LRU-only.  Way
+      partitions and an attached lineage collector run on it too.
     * ``"auto"`` (default) — ``"batch"`` when the configured replacement
       policy is LRU, ``"scalar"`` otherwise.
 
     ``step()`` and object-record ``run()`` always use the scalar per-record
     path regardless of mode (:class:`~repro.cache.array_state.ArrayCache`
     implements the full scalar cache API); the mode only changes which
-    loop :meth:`run_buffer` drives.
+    loop :meth:`run_buffer` drives.  Every :meth:`run_buffer` chunk the
+    scalar loop takes is counted by reason in :attr:`fallbacks`.
     """
 
     def __init__(self, channel: int, config: SimConfig,
@@ -87,19 +99,19 @@ class ChannelSimulator:
             raise SimulationError(
                 f"unknown engine_mode {engine_mode!r}; "
                 "expected 'auto', 'scalar' or 'batch'")
+        self._scalar_reason = "explicit_scalar"
         if engine_mode == "auto":
-            # Batch needs LRU and an unpartitioned cache: the fused loops
-            # inline the global free-list/min-touch victim pick, which a
-            # tenant way partition would override per fill.
-            engine_mode = ("batch"
-                           if config.cache.replacement_policy == "lru"
-                           and not config.cache.way_partitions
-                           else "scalar")
-        elif engine_mode == "batch" and config.cache.way_partitions:
-            raise SimulationError(
-                "engine_mode='batch' does not support way_partitions; "
-                "use 'auto' or 'scalar'")
+            # The batch loops inline LRU victim selection.
+            if config.cache.replacement_policy == "lru":
+                engine_mode = "batch"
+            else:
+                engine_mode = "scalar"
+                self._scalar_reason = "non_lru_policy"
         self.engine_mode = engine_mode
+        #: Host-side count of run_buffer() chunks the scalar loop took, by
+        #: reason (:data:`FALLBACK_REASONS`).  Not simulated state: kept
+        #: out of state_dict() and RunMetrics.
+        self.fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
         self.channel = channel
         self.config = config
         self.layout = config.layout
@@ -117,15 +129,16 @@ class ChannelSimulator:
         #: costs one attribute load per run()/run_buffer() call.
         self.obs = None
         #: Lineage hook (a LineageCollector, see repro.obs.lineage) or
-        #: None.  All engine-side hook sites sit on rare branches
-        #: (prefetch-served access, prefetch service, eviction of a
-        #: prefetched block), so the common per-record path is untouched;
-        #: attaching also routes run_buffer() to the scalar loop (the
-        #: batch loop's fused fill path elides per-candidate accounting).
+        #: None.  All engine-side hook sites, in both engines, sit on rare
+        #: branches (prefetch-served access, prefetch service, eviction of
+        #: a prefetched block), so the common per-record path is untouched.
         self.lineage = None
         self._warmup_until = 0
         self._records_seen = 0
         self._last_time = 0
+        #: True while a caller that already ran :meth:`check_order` on
+        #: the chunk drives it (epoch slices, SystemSimulator dispatch).
+        self._order_checked = False
         self._blocks_per_segment = self.layout.blocks_per_segment
 
     def set_warmup(self, warmup_records: int, records_seen_hint: int = 0) -> None:
@@ -261,7 +274,7 @@ class ChannelSimulator:
         if eviction.prefetched:
             self.prefetcher.notify_unused()
             if self.lineage is not None:
-                self.lineage.note_evicted(eviction, now)
+                self.lineage.note_evicted(eviction.tag, eviction.source, now)
         if eviction.dirty:
             self.dram.service_scalar(eviction.tag, now, RequestKind.WRITEBACK)
 
@@ -273,7 +286,13 @@ class ChannelSimulator:
         (:meth:`run_buffer`); an object-record iterable goes through
         :meth:`step` per record.  Both produce bit-identical state
         (``tests/test_fastpath_equivalence.py``).
+
+        A :class:`TraceBuffer` chunk is checked for arrival order first
+        (:meth:`check_order`), so an out-of-order chunk raises
+        :class:`TraceOrderError` with no state changed.
         """
+        if not self._order_checked and isinstance(records, TraceBuffer):
+            self.check_order(records)
         if self.obs is not None:
             self._run_observed(records, warmup_records)
             return
@@ -302,6 +321,8 @@ class ChannelSimulator:
             records = list(records)
         total = len(records)
         self.obs = None
+        order_checked = self._order_checked
+        self._order_checked = True
         try:
             if total == 0:
                 self.run(records, warmup_records=warmup_records)
@@ -316,6 +337,32 @@ class ChannelSimulator:
                 position = end
         finally:
             self.obs = obs
+            self._order_checked = order_checked
+
+    def check_order(self, buffer: TraceBuffer) -> None:
+        """Raise :class:`TraceOrderError` if a record of ``buffer`` arrives
+        more than tREFI before the latest arrival up to it, this channel's
+        earlier chunks included.  Both engines assume the order this
+        checks.
+
+        One vectorised pass: the running maximum of the arrival times,
+        floored at the channel's latest earlier arrival, against each
+        record's own time.
+        """
+        times = buffer.arrival_times
+        if not len(times):
+            return
+        slack = self.dram._tREFI
+        latest = np.maximum.accumulate(times)
+        np.maximum(latest, self._last_time, out=latest)
+        late = times < latest - slack
+        if late.any():
+            index = int(late.argmax())
+            raise TraceOrderError(
+                f"record {index} of the chunk arrives at "
+                f"{int(times[index])}, more than {slack} cycles before "
+                f"{int(latest[index])}; arrival times must not step back "
+                f"by more than tREFI")
 
     def run_buffer(self, buffer: TraceBuffer,
                    warmup_records: int = 0) -> None:
@@ -329,16 +376,16 @@ class ChannelSimulator:
         if self.obs is not None:
             self._run_observed(buffer, warmup_records)
             return
-        if self.engine_mode == "batch" and self.lineage is None:
-            # Lineage attached forces the scalar loop: the fused batch
-            # loops elide the per-candidate queue/fill path lineage
-            # observes.  Bit-identical by the batch-oracle contract.
+        if self.engine_mode == "batch":
             from repro.sim.batch import run_buffer_batch
             if run_buffer_batch(self, buffer, warmup_records=warmup_records):
                 return
-            # Declined chunk (e.g. passive run over live prefetched blocks
+            # Declined chunk (a passive run over live prefetched blocks
             # from a restored checkpoint): fall through to the scalar loop
             # below — ArrayCache is API-compatible with the scalar cache.
+            self.fallbacks["restored_prefetches"] += 1
+        else:
+            self.fallbacks[self._scalar_reason] += 1
         self.set_warmup(warmup_records, records_seen_hint=self._records_seen)
         addresses, access_types, device_values, arrival_times = (
             buffer.columns_as_lists())
@@ -678,17 +725,31 @@ class SystemSimulator:
             for record in record_list:
                 object_streams[layout.channel(record.address)].append(record)
             streams = object_streams
-        jobs = [
+        self._drive([
             (channel_sim, stream, int(len(stream) * warmup_fraction))
             for channel_sim, stream in zip(self.channels, streams)
-        ]
-        executor = ParallelExecutor(parallelism)
-        if executor.workers_for(len(jobs)) > 1:
-            # Workers mutate pickled copies; adopt them as the live channels.
-            self.channels = executor.run_channels(jobs)
-        else:
-            for channel_sim, stream, warmup in jobs:
-                channel_sim.run(stream, warmup_records=warmup)
+        ], parallelism)
+
+    def _drive(self, jobs, parallelism: "Parallelism") -> None:
+        """Run each ``(channel, stream, warmup)`` job once every stream has
+        passed its order check, so a rejected chunk changes no channel."""
+        for channel_sim, stream, _ in jobs:
+            if isinstance(stream, TraceBuffer):
+                channel_sim.check_order(stream)
+        for channel_sim in self.channels:
+            channel_sim._order_checked = True
+        try:
+            executor = ParallelExecutor(parallelism)
+            if executor.workers_for(len(jobs)) > 1:
+                # Workers mutate pickled copies; adopt them as the live
+                # channels.
+                self.channels = executor.run_channels(jobs)
+            else:
+                for channel_sim, stream, warmup in jobs:
+                    channel_sim.run(stream, warmup_records=warmup)
+        finally:
+            for channel_sim in self.channels:
+                channel_sim._order_checked = False
 
     # ------------------------------------------------------------------
     # Incremental feeding + checkpoint support
@@ -740,17 +801,20 @@ class SystemSimulator:
         buffer = (records if isinstance(records, TraceBuffer)
                   else TraceBuffer.from_records(records))
         streams = buffer.split_channels(self.config.layout)
-        jobs = [
+        self._drive([
             (channel_sim, stream, channel_sim._warmup_until)
             for channel_sim, stream in zip(self.channels, streams)
-        ]
-        executor = ParallelExecutor(parallelism)
-        if executor.workers_for(len(jobs)) > 1:
-            self.channels = executor.run_channels(jobs)
-        else:
-            for channel_sim, stream, warmup in jobs:
-                channel_sim.run(stream, warmup_records=warmup)
+        ], parallelism)
         return len(buffer)
+
+    def fallback_counts(self) -> dict:
+        """Scalar-loop chunks by reason, summed over channels (see
+        :attr:`ChannelSimulator.fallbacks`)."""
+        totals = dict.fromkeys(FALLBACK_REASONS, 0)
+        for channel_sim in self.channels:
+            for reason, count in channel_sim.fallbacks.items():
+                totals[reason] += count
+        return totals
 
     def records_fed(self) -> int:
         """Total accesses stepped through across all channels so far."""

@@ -8,7 +8,11 @@ scalar-mode one — not just in ``RunMetrics``, but in every field of every
 component snapshot (cache blocks and LRU ticks, DRAM bank timing and
 latency aggregates, queue contents and drop counters, prefetcher tables
 in dict order, metric Welford accumulators down to the last float bit,
-observability timelines).
+observability timelines, prefetch-lineage collectors down to the fate
+ring).  The matrix covers plain runs, epoch-sliced runs, lineage
+attached, way-partitioned caches (overlapping and non-covering tenant
+masks), both combined under arbitrary ``feed()`` cuts, and checkpoints
+saved on one engine and resumed on the other.
 
 :func:`assert_equivalent` is that comparison, packaged for reuse — the
 property suite (``tests/test_batch_properties.py``) drives the same
@@ -21,19 +25,30 @@ dict *key order* (checkpoint schemas expose it), and compares floats by
 from dataclasses import asdict
 from collections import deque
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.config import SimConfig
+from repro.errors import SimulationError, TraceOrderError
 from repro.obs import attach_observability
+from repro.obs.lineage import attach_lineage
 from repro.prefetch.registry import PREFETCHER_FACTORIES, make_prefetcher
 from repro.sim.engine import SystemSimulator, channel_warmup_counts
 from repro.sim.runner import _collect
+from repro.tenancy import TenantSpec, merge_traces
+from repro.trace.buffer import TraceBuffer
 from repro.trace.generator import generate_trace_buffer, get_profile
 
 ALL_PREFETCHERS = sorted(PREFETCHER_FACTORIES)
 WORKLOADS = ("CFM", "Fort")
 LENGTH = 2_500
 SEED = 13
+#: CPU and GPU overlap on ways 4-7; ways 12-15 belong to no partition,
+#: so only an unpartitioned device (NPU here) ever fills them.
+PARTITIONS = ("CPU:0x00ff", "GPU:0x0ff0")
+TENANT_LENGTH = 1_200
 
 
 # ----------------------------------------------------------------------
@@ -102,12 +117,20 @@ def deep_diff(a, b, path="", out=None, limit=10):
 # ----------------------------------------------------------------------
 # The oracle harness
 # ----------------------------------------------------------------------
-def _drive(config, buffer, cuts, engine_mode, prefetcher, obs_epoch_records):
+def _simulator(config, prefetcher, engine_mode, lineage=False):
     simulator = SystemSimulator(
         config,
         lambda layout, channel: make_prefetcher(prefetcher, layout, channel),
         engine_mode=engine_mode,
     )
+    if lineage:
+        attach_lineage(simulator)
+    return simulator
+
+
+def _drive(config, buffer, cuts, engine_mode, prefetcher, obs_epoch_records,
+           lineage=False):
+    simulator = _simulator(config, prefetcher, engine_mode, lineage)
     collectors = None
     if obs_epoch_records is not None:
         collectors = attach_observability(simulator,
@@ -123,8 +146,18 @@ def _drive(config, buffer, cuts, engine_mode, prefetcher, obs_epoch_records):
     return simulator, collectors
 
 
+def assert_channels_equal(expected, actual, label):
+    """Every channel's full ``state_dict`` (lineage included) must match."""
+    diffs = []
+    for index, (want, got) in enumerate(zip(expected.channels,
+                                            actual.channels)):
+        deep_diff(want.state_dict(), got.state_dict(),
+                  path=f"channel[{index}]", out=diffs)
+    assert not diffs, f"{label}:\n  " + "\n  ".join(diffs)
+
+
 def assert_equivalent(config, buffer, cuts=(), prefetcher="none",
-                      obs_epoch_records=None):
+                      obs_epoch_records=None, lineage=False):
     """Run ``buffer`` through scalar and batch engines; fail on ANY drift.
 
     Args:
@@ -136,14 +169,16 @@ def assert_equivalent(config, buffer, cuts=(), prefetcher="none",
         prefetcher: registered prefetcher name.
         obs_epoch_records: when set, attach observability with this epoch
             size to both simulators and compare timelines too.
+        lineage: attach a lineage collector to both simulators; its state
+            rides in each channel's ``state_dict`` and is compared there.
 
     Returns the batch simulator's ``RunMetrics`` dict (handy for callers
     asserting workload-level facts on top of equivalence).
     """
     scalar_sim, scalar_obs = _drive(config, buffer, cuts, "scalar",
-                                    prefetcher, obs_epoch_records)
+                                    prefetcher, obs_epoch_records, lineage)
     batch_sim, batch_obs = _drive(config, buffer, cuts, "batch",
-                                  prefetcher, obs_epoch_records)
+                                  prefetcher, obs_epoch_records, lineage)
 
     scalar_metrics = asdict(_collect(scalar_sim, "oracle", prefetcher))
     batch_metrics = asdict(_collect(batch_sim, "oracle", prefetcher))
@@ -183,6 +218,23 @@ def buffers(config):
     }
 
 
+@pytest.fixture(scope="module")
+def partitioned(config):
+    return dataclasses.replace(
+        config, cache=dataclasses.replace(config.cache,
+                                          way_partitions=PARTITIONS))
+
+
+@pytest.fixture(scope="module")
+def tenant_buffer():
+    """CPU, GPU and an unpartitioned NPU tenant sharing the cache."""
+    return merge_traces([
+        TenantSpec("CFM", "CPU", length=TENANT_LENGTH, seed=SEED),
+        TenantSpec("HoK", "GPU", length=TENANT_LENGTH, seed=SEED + 1),
+        TenantSpec("Fort", "NPU", length=TENANT_LENGTH // 2, seed=SEED + 2),
+    ])
+
+
 # ----------------------------------------------------------------------
 # The matrix the tentpole promises: every prefetcher, both workload
 # generators, obs on/off, chunked and unchunked.
@@ -210,13 +262,102 @@ def test_batch_matches_scalar_chunked_feed(config, buffers, prefetcher):
                       prefetcher=prefetcher)
 
 
-def test_batch_engine_resolves_for_lru_only(config):
-    """engine_mode='auto' picks batch for LRU and scalar otherwise."""
-    import dataclasses
+@pytest.mark.parametrize("prefetcher", ALL_PREFETCHERS)
+def test_batch_matches_scalar_with_lineage(config, buffers, prefetcher):
+    """The batch loops emit every lineage hook the scalar loop does."""
+    assert_equivalent(config, buffers["CFM"], prefetcher=prefetcher,
+                      lineage=True)
 
+
+@pytest.mark.parametrize("prefetcher", ALL_PREFETCHERS)
+def test_batch_matches_scalar_under_partitions(partitioned, tenant_buffer,
+                                               prefetcher):
+    """Overlapping, non-covering tenant masks plus an unpartitioned
+    tenant: every fill site picks the scalar cache's victim."""
+    assert_equivalent(partitioned, tenant_buffer, prefetcher=prefetcher)
+
+
+@pytest.mark.parametrize("prefetcher", ALL_PREFETCHERS)
+def test_batch_matches_scalar_partitions_lineage_chunked(
+        partitioned, tenant_buffer, prefetcher):
+    cuts = (1, 377, 378, 1500, 2899)
+    assert_equivalent(partitioned, tenant_buffer, cuts=cuts,
+                      prefetcher=prefetcher, lineage=True)
+
+
+@pytest.mark.parametrize("prefetcher", ALL_PREFETCHERS)
+@pytest.mark.parametrize("first, second", [("scalar", "batch"),
+                                           ("batch", "scalar")])
+def test_checkpoint_resumes_across_engines(partitioned, tenant_buffer,
+                                           prefetcher, first, second):
+    """A checkpoint written on one engine resumes bit-identically on the
+    other (partitions and lineage on), matching an uncut scalar run."""
+    cut = len(tenant_buffer) // 3
+    warmup = channel_warmup_counts(tenant_buffer, partitioned)
+    source = _simulator(partitioned, prefetcher, first, lineage=True)
+    source.set_stream_warmup(warmup)
+    source.feed(tenant_buffer[:cut])
+    resumed = _simulator(partitioned, prefetcher, second, lineage=True)
+    resumed.load_state(source.state_dict())
+    resumed.feed(tenant_buffer[cut:])
+
+    straight = _simulator(partitioned, prefetcher, "scalar", lineage=True)
+    straight.set_stream_warmup(warmup)
+    straight.feed(tenant_buffer)
+    assert_channels_equal(straight, resumed,
+                          f"{prefetcher}: {first} -> {second} resume")
+
+
+@pytest.mark.parametrize("engine_mode", ["scalar", "batch"])
+@pytest.mark.parametrize("observed", [False, True])
+def test_out_of_order_chunk_raises_and_changes_nothing(
+        config, buffers, engine_mode, observed):
+    """A chunk whose last record steps back by more than tREFI is refused
+    on both engines before any channel (not only its own) changes."""
+    buffer = buffers["CFM"]
+    simulator = _simulator(config, "planaria", engine_mode, lineage=True)
+    if observed:
+        attach_observability(simulator, epoch_records=100)
+    simulator.feed(buffer[:1000])
+    before = simulator.state_dict()
+
+    chunk = buffer[1000:1400]
+    times = chunk.arrival_times.copy()
+    times[-1] = times[0] - config.dram.timing.tREFI - 1
+    bad = TraceBuffer(chunk.addresses, chunk.access_types, chunk.devices,
+                      times)
+    with pytest.raises(TraceOrderError) as excinfo:
+        simulator.feed(bad)
+    assert isinstance(excinfo.value, SimulationError)
+    diffs = deep_diff(before, simulator.state_dict(), path="state")
+    assert not diffs, "\n".join(diffs)
+
+    # A step back of exactly tREFI is tolerated, as in service_scalar.
+    times[-1] = int(times[:-1].max()) - config.dram.timing.tREFI
+    simulator.feed(TraceBuffer(chunk.addresses, chunk.access_types,
+                               chunk.devices, times))
+
+
+def test_channel_run_checks_order_against_carried_time(config, buffers):
+    """Direct channel callers get the check too, against the latest
+    arrival of earlier chunks."""
+    buffer = buffers["CFM"]
+    simulator = _simulator(config, "none", "batch")
+    channel = simulator.channels[0]
+    stream = buffer.split_channels(config.layout)[0]
+    channel.run(stream)
+    late = int(stream.arrival_times.max()) - config.dram.timing.tREFI - 1
+    with pytest.raises(TraceOrderError):
+        channel.run(TraceBuffer(stream.addresses[:1],
+                                stream.access_types[:1],
+                                stream.devices[:1],
+                                np.array([late], dtype=np.int64)))
+
+
+def test_batch_engine_resolves_for_lru_only(config, buffers):
+    """engine_mode='auto' picks batch for LRU and scalar otherwise."""
     from repro.cache.array_state import ArrayCache
     from repro.cache.cache import SetAssociativeCache
-    from repro.errors import SimulationError
 
     auto = SystemSimulator(
         config, lambda layout, ch: make_prefetcher("none", layout, ch),
@@ -232,6 +373,8 @@ def test_batch_engine_resolves_for_lru_only(config):
     assert all(isinstance(ch.cache, SetAssociativeCache)
                for ch in fifo.channels)
     assert all(ch.engine_mode == "scalar" for ch in fifo.channels)
+    fifo.run(buffers["CFM"][:200])
+    assert fifo.fallback_counts()["non_lru_policy"] == len(fifo.channels)
 
     with pytest.raises(SimulationError):
         SystemSimulator(
@@ -265,18 +408,20 @@ def test_batch_falls_back_for_restored_prefetched_blocks(config, buffers):
             target_ch.dram.load_state(donor_state["dram"])
             target_ch._records_seen = donor_state["records_seen"]
             target_ch._last_time = donor_state["last_time"]
-        live_prefetches = any(ch.cache.resident_prefetches()
-                              for ch in target.channels)
+        live_channels = sum(1 for ch in target.channels
+                            if ch.cache.resident_prefetches())
         target.feed(buffer[cut:])
-        return target, live_prefetches
+        return target, live_channels
 
     scalar_sim, _ = restored("scalar")
-    batch_sim, fallback_triggered = restored("batch")
-    assert fallback_triggered, "fixture lost its live prefetched blocks"
+    batch_sim, live_channels = restored("batch")
+    assert live_channels, "fixture lost its live prefetched blocks"
+    assert_channels_equal(scalar_sim, batch_sim, "restored passive run")
 
-    diffs = []
-    for index, (scalar_ch, batch_ch) in enumerate(
-            zip(scalar_sim.channels, batch_sim.channels)):
-        deep_diff(scalar_ch.state_dict(), batch_ch.state_dict(),
-                  path=f"channel[{index}]", out=diffs)
-    assert not diffs, "\n".join(diffs)
+    # Each declined chunk is counted by reason, host-side only: one per
+    # channel that held live prefetched blocks.
+    assert batch_sim.fallback_counts() == {
+        "explicit_scalar": 0, "non_lru_policy": 0,
+        "restored_prefetches": live_channels}
+    assert scalar_sim.fallback_counts()["explicit_scalar"] == len(
+        scalar_sim.channels)

@@ -7,7 +7,9 @@ Two layers of pinning, both against scalar ground truth:
   a run-length batch, random ``feed()`` cuts mid-batch) driven through the
   differential oracle :func:`tests.test_batch_oracle.assert_equivalent`,
   which fails on *any* state drift between the batch engine and the scalar
-  loops.
+  loops.  Each example also draws the cache's tenant way partitions
+  (random, possibly overlapping, possibly non-covering masks) and whether
+  a lineage collector is attached.
 * **Kernel-level** — every function in :mod:`repro.sim.kernels` pinned
   element-wise against the scalar helpers it vectorizes
   (:class:`repro.geometry.AddressLayout` methods,
@@ -23,6 +25,7 @@ columns to float64 and silently rounds addresses above 2**53 — exactly the
 bug class these tests exist to catch.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -116,6 +119,31 @@ def mixed_traces(draw):
     return draw(_decorate(block_addrs))
 
 
+@st.composite
+def configs(draw):
+    """The default cache, or one split into tenant way partitions: a
+    random mask for each of a few devices, so partitions may overlap,
+    leave ways to no device, or leave devices unpartitioned."""
+    if not draw(st.booleans()):
+        return CONFIG
+    full = (1 << CONFIG.cache.associativity) - 1
+    devices = draw(st.lists(st.sampled_from([d.name for d in DeviceID]),
+                            min_size=1, max_size=3, unique=True))
+    entries = tuple(
+        f"{name}:{hex(draw(st.integers(min_value=1, max_value=full)))}"
+        for name in devices)
+    return dataclasses.replace(CONFIG, cache=dataclasses.replace(
+        CONFIG.cache, way_partitions=entries))
+
+
+def _check(data, buffer, cuts=()):
+    """The oracle on ``buffer`` under a drawn prefetcher, cache
+    partitioning and lineage setting."""
+    assert_equivalent(data.draw(configs()), buffer, cuts=cuts,
+                      prefetcher=data.draw(st.sampled_from(PREFETCHERS)),
+                      lineage=data.draw(st.booleans()))
+
+
 def _cuts_for(draw, buffer):
     """A sorted set of feed() cut positions strictly inside the buffer."""
     if len(buffer) < 2:
@@ -134,23 +162,20 @@ class TestAdversarialTraces:
     @given(data=st.data())
     def test_page_crossing_runs(self, data):
         buffer = data.draw(page_crossing_traces())
-        prefetcher = data.draw(st.sampled_from(PREFETCHERS))
-        assert_equivalent(CONFIG, buffer, prefetcher=prefetcher)
+        _check(data, buffer)
 
     @hsettings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_single_record_buffer(self, data):
         buffer = data.draw(_decorate(
             [data.draw(st.integers(min_value=0, max_value=2**40))]))
-        prefetcher = data.draw(st.sampled_from(PREFETCHERS))
-        assert_equivalent(CONFIG, buffer, prefetcher=prefetcher)
+        _check(data, buffer)
 
     @hsettings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_same_set_conflict_stream(self, data):
         buffer = data.draw(same_set_traces())
-        prefetcher = data.draw(st.sampled_from(PREFETCHERS))
-        assert_equivalent(CONFIG, buffer, prefetcher=prefetcher)
+        _check(data, buffer)
 
     @hsettings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
@@ -166,16 +191,13 @@ class TestAdversarialTraces:
             for _ in range(length)
         ]
         buffer = data.draw(_decorate(block_addrs))
-        prefetcher = data.draw(st.sampled_from(PREFETCHERS))
-        assert_equivalent(CONFIG, buffer, prefetcher=prefetcher)
+        _check(data, buffer)
 
     @hsettings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_random_chunk_cuts_mid_batch(self, data):
         buffer = data.draw(mixed_traces())
-        cuts = _cuts_for(data.draw, buffer)
-        prefetcher = data.draw(st.sampled_from(PREFETCHERS))
-        assert_equivalent(CONFIG, buffer, cuts=cuts, prefetcher=prefetcher)
+        _check(data, buffer, cuts=_cuts_for(data.draw, buffer))
 
 
 # ----------------------------------------------------------------------

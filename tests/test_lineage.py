@@ -5,8 +5,8 @@ The contract under test (docs/observability.md, "Prefetch lineage"):
 
 * **Neutrality** — attaching lineage never changes simulated state:
   ``RunMetrics``, cache/queue stats and epoch timelines are bit-identical
-  lineage-on vs lineage-off, across the scalar loop, the batch engine's
-  scalar fallback, the parallel executor and a checkpoint/resume cycle.
+  lineage-on vs lineage-off, across the scalar loop, the batch engine,
+  the parallel executor and a checkpoint/resume cycle.
 * **Invariants** — every issued prefetch is accounted for exactly once
   per pipeline stage (``lineage_consistent``).
 * **Reconciliation** — the fate counters agree exactly with the cache's
@@ -178,9 +178,9 @@ class TestNeutrality:
         assert (plain.merged_queue_stats().state_dict()
                 == observed.merged_queue_stats().state_dict())
 
-    def test_batch_fallback_is_bit_identical(self):
-        """Batch mode + lineage falls back to the scalar loop; metrics
-        stay identical to both the plain batch run and the scalar run."""
+    def test_batch_lineage_is_bit_identical(self):
+        """Batch mode + lineage stays on the batch engine; metrics match
+        the plain batch run and the collector matches the scalar run's."""
         buffer = trace()
         batch_plain = make_simulator(engine_mode="batch")
         batch_plain.run(buffer)
@@ -190,11 +190,16 @@ class TestNeutrality:
         scalar_lineage = make_simulator(engine_mode="scalar")
         scalar = attach_lineage(scalar_lineage)
         scalar_lineage.run(buffer)
+        assert sum(batch_lineage.fallback_counts().values()) == 0
         assert (batch_plain.merged_metrics().state_dict()
                 == batch_lineage.merged_metrics().state_dict())
         assert (batch_plain.merged_queue_stats().state_dict()
                 == batch_lineage.merged_queue_stats().state_dict())
         assert lineage.summary() == scalar.summary()
+        assert lineage.events() == scalar.events()
+        for batch_col, scalar_col in zip(lineage.collectors,
+                                         scalar.collectors):
+            assert batch_col.state_dict() == scalar_col.state_dict()
         assert lineage_consistent(lineage.summary())
 
     def test_parallel_summary_matches_serial(self):
@@ -452,6 +457,32 @@ class TestService:
         assert "planaria_lineage_issued_total{" in text
         assert 'fate="used_timely"' in text
         assert "planaria_lineage_resident{" in text
+
+    def test_partitioned_lineage_session_has_no_fallbacks(self):
+        """A way-partitioned lineage session runs every chunk on the batch
+        engine: each fallback reason exports 0."""
+        from repro.service.session import SessionManager
+        from repro.tenancy import TenantSpec, merge_traces
+
+        base = SimConfig.experiment_scale()
+        config = dataclasses.replace(base, cache=dataclasses.replace(
+            base.cache, way_partitions=("CPU:0xff", "GPU:0xff00")))
+        merged = merge_traces([
+            TenantSpec("CFM", "CPU", length=2_000, seed=1),
+            TenantSpec("HoK", "GPU", length=2_000, seed=2)])
+        manager = SessionManager()
+        try:
+            manager.open("part", "planaria", config=config, lineage=True)
+            for start in range(0, len(merged), 1_000):
+                manager.feed("part", merged[start:start + 1_000])
+            manager.lineage("part")  # quiesce
+            text = manager.metrics_text()
+        finally:
+            manager.shutdown(checkpoint=False)
+        for reason in ("explicit_scalar", "non_lru_policy",
+                       "restored_prefetches"):
+            assert (f'planaria_engine_fallback_total{{reason="{reason}",'
+                    f'session="part"}} 0') in text
 
 
 class TestPropertyNeutrality:

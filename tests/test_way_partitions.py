@@ -9,7 +9,9 @@ Three contracts:
   mask, while lookups stay global; identical on both cache backends.
 * Equivalence — shared mode (no partitions) is the pre-existing cache
   bit-for-bit, a full-mask partition is behaviourally identical to no
-  partition, and the batch engine correctly refuses / falls back.
+  partition, and the batch engine runs partitioned configs bit-identically
+  to the scalar loop, whether asked for explicitly or resolved by
+  ``auto``.
 """
 
 from dataclasses import replace
@@ -19,7 +21,7 @@ import pytest
 from repro.cache.array_state import ArrayCache
 from repro.cache.cache import SetAssociativeCache
 from repro.config import CacheConfig, SimConfig
-from repro.errors import ConfigError, SimulationError, UnknownDeviceError
+from repro.errors import ConfigError, UnknownDeviceError
 from repro.sim.runner import simulate
 from repro.tenancy import TenantSpec, default_way_partitions, merge_traces
 from repro.trace.record import DeviceID
@@ -165,17 +167,27 @@ class TestEngineEquivalence:
                     == shared.tenant_stats[device]["accesses"])
         assert partitioned.hit_rate != shared.hit_rate
 
-    def test_explicit_batch_refuses_partitions(self):
-        config = _config(way_partitions=("CPU:0xff", "GPU:0xff00"))
-        with pytest.raises(SimulationError, match="way_partitions"):
-            simulate(merge_traces(_specs()), "none", config=config,
-                     engine_mode="batch")
-
-    def test_auto_falls_back_to_scalar_under_partitions(self):
+    def test_explicit_batch_matches_scalar_under_partitions(self):
         merged = merge_traces(_specs())
         config = _config(way_partitions=("CPU:0xff", "GPU:0xff00"))
-        auto = simulate(merged, "none", config=config,
-                        engine_mode="auto").metrics
+        batch = simulate(merged, "planaria", config=config,
+                         engine_mode="batch")
+        scalar = simulate(merged, "planaria", config=config,
+                          engine_mode="scalar")
+        assert all(isinstance(ch.cache, ArrayCache)
+                   for ch in batch.simulator.channels)
+        assert batch.metrics == scalar.metrics
+        assert list(batch.metrics.tenant_stats) == list(
+            scalar.metrics.tenant_stats)
+
+    def test_auto_runs_batch_under_partitions(self):
+        merged = merge_traces(_specs())
+        config = _config(way_partitions=("CPU:0xff", "GPU:0xff00"))
+        auto = simulate(merged, "none", config=config, engine_mode="auto")
         scalar = simulate(merged, "none", config=config,
                           engine_mode="scalar").metrics
-        assert auto == scalar
+        assert auto.simulator.engine_mode == "batch"
+        assert auto.simulator.fallback_counts() == {
+            "explicit_scalar": 0, "non_lru_policy": 0,
+            "restored_prefetches": 0}
+        assert auto.metrics == scalar
