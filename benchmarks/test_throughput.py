@@ -3,13 +3,12 @@
 Measures end-to-end simulation throughput (trace records simulated per
 wall-clock second) through three execution modes —
 
-* the columnar fast loop, serial (scalar engine),
-* the columnar fast loop under channel-grain parallelism (``"auto"``),
-* the legacy per-record-object loop (``columnar=False``),
+* the scalar reference loop over trace columns, serial,
+* the same loop under channel-grain parallelism (``"auto"``),
 * the batch engine's fused array loops (``engine_mode="batch"`` — the
   production default, since ``"auto"`` resolves to it for LRU configs),
 
-— per workload and prefetcher, asserts all four produce bit-identical
+— per workload and prefetcher, asserts all three produce bit-identical
 ``RunMetrics`` (performance work must never change results), and writes
 the numbers to ``BENCH_throughput.json`` at the repo root.  The batch
 numbers land in a dedicated ``batched`` section scaled against the
@@ -49,9 +48,8 @@ ROUNDS = 3
 #: columnar pipeline landed (median of interleaved best-of-3 runs on the
 #: baseline machine; CFM, 60k records, seed 7, experiment_scale config).
 #: Kept as a fixed reference so the committed baseline documents the
-#: speedup of the fast loop over the code it replaced — the in-tree
-#: object loop also got faster (cache/DRAM/replacement optimisations are
-#: shared), so comparing against it alone would understate the change.
+#: speedup of the columnar loop over the object-record loop it replaced;
+#: that loop has since been deleted from the engine.
 PRE_PR_REFERENCE_RPS = {"none": 46_815, "planaria": 33_172}
 
 #: Scalar columnar fast-loop throughput from the committed baseline JSON
@@ -62,25 +60,25 @@ PRE_PR_REFERENCE_RPS = {"none": 46_815, "planaria": 33_172}
 BATCH_BASELINE_RPS = {"none": 160_456, "planaria": 60_634}
 
 
-def _simulate(buffer, prefetcher_name, columnar, parallelism="serial",
+def _simulate(buffer, prefetcher_name, parallelism="serial",
               engine_mode="scalar"):
     config = SimConfig.experiment_scale()
     simulator = SystemSimulator(
         config, lambda layout, channel: make_prefetcher(prefetcher_name,
                                                         layout, channel),
         engine_mode=engine_mode)
-    simulator.run(buffer, parallelism=parallelism, columnar=columnar)
+    simulator.run(buffer, parallelism=parallelism)
     return asdict(_collect(simulator, "throughput", prefetcher_name))
 
 
-def _best_rps(buffer, prefetcher_name, columnar, parallelism="serial",
+def _best_rps(buffer, prefetcher_name, parallelism="serial",
               engine_mode="scalar"):
     """(records/sec of the fastest round, metrics of the last round)."""
     best = None
     metrics = None
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        metrics = _simulate(buffer, prefetcher_name, columnar, parallelism,
+        metrics = _simulate(buffer, prefetcher_name, parallelism,
                             engine_mode)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
@@ -99,7 +97,6 @@ def test_throughput_baseline():
         "engine_modes": {
             "columnar_serial": "scalar",
             "columnar_parallel": "scalar",
-            "object_loop": "scalar",
             "batched": "batch",
         },
         "workloads": {},
@@ -111,28 +108,19 @@ def test_throughput_baseline():
                                        layout=config.layout)
         per_app = {}
         for name in PREFETCHERS:
-            serial_rps, serial_metrics = _best_rps(buffer, name,
-                                                   columnar=True)
+            serial_rps, serial_metrics = _best_rps(buffer, name)
             parallel_rps, parallel_metrics = _best_rps(buffer, name,
-                                                       columnar=True,
                                                        parallelism="auto")
-            object_rps, object_metrics = _best_rps(buffer, name,
-                                                   columnar=False)
             batch_rps, batch_metrics = _best_rps(buffer, name,
-                                                 columnar=True,
                                                  engine_mode="batch")
-            # The contract before the numbers: all four modes must agree
+            # The contract before the numbers: all three modes must agree
             # on every RunMetrics field, bit for bit.
-            assert serial_metrics == object_metrics, name
-            assert parallel_metrics == object_metrics, name
-            assert batch_metrics == object_metrics, name
+            assert parallel_metrics == serial_metrics, name
+            assert batch_metrics == serial_metrics, name
             per_app[name] = {
                 "columnar_serial_rps": round(serial_rps),
                 "columnar_parallel_rps": round(parallel_rps),
-                "object_loop_rps": round(object_rps),
                 "batched_rps": round(batch_rps),
-                "columnar_vs_object_speedup": round(serial_rps / object_rps,
-                                                    2),
                 "batched_vs_columnar_speedup": round(batch_rps / serial_rps,
                                                      2),
             }
@@ -140,8 +128,7 @@ def test_throughput_baseline():
                 batched_rps[name] = batch_rps
             print(f"  {app}/{name}: batched {batch_rps:,.0f} rec/s, "
                   f"columnar {serial_rps:,.0f} rec/s "
-                  f"(parallel {parallel_rps:,.0f}), object loop "
-                  f"{object_rps:,.0f} rec/s")
+                  f"(parallel {parallel_rps:,.0f})")
         report["workloads"][app] = per_app
 
     if batched_rps:

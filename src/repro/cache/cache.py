@@ -409,16 +409,3 @@ class SetAssociativeCache:
     def resident_prefetches(self) -> int:
         """Prefetched-and-not-yet-used blocks currently resident."""
         return self._resident_prefetches
-
-    def occupancy_scan(self) -> int:
-        """Reference O(sets x ways) count, kept for the coherence test."""
-        return sum(
-            1 for ways in self._sets for block in ways if block.valid
-        )
-
-    def resident_prefetches_scan(self) -> int:
-        """Reference scan matching :meth:`resident_prefetches`."""
-        return sum(
-            1 for ways in self._sets for block in ways
-            if block.valid and block.prefetched
-        )

@@ -286,7 +286,7 @@ METRIC_HELP: Dict[str, str] = {
         "device.",
     "engine_fallback_total":
         "Engine chunks run on the scalar loop instead of the batch engine, "
-        "by reason (explicit_scalar, non_lru_policy, restored_prefetches).",
+        "by reason (explicit_scalar, non_lru_policy).",
 }
 
 

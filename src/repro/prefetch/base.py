@@ -118,7 +118,7 @@ class Prefetcher(abc.ABC):
     name = "base"
 
     #: True when ``observe``/``issue`` are pure no-ops (no state, no
-    #: counters, no candidates) — the engine's columnar fast loop then
+    #: counters, no candidates) — the batch engine's demand-only loop then
     #: skips the prefetcher machinery per record entirely.  Only set this
     #: on a subclass whose learning and issuing phases touch nothing.
     passive = False

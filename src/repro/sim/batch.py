@@ -1,20 +1,23 @@
 """Fused batch loops over :class:`~repro.cache.array_state.ArrayCache` state.
 
 This is the batch engine the oracle harness (``tests/test_batch_oracle.py``)
-pins against the scalar loops: :func:`run_buffer_batch` is a drop-in body
-for :meth:`ChannelSimulator.run_buffer` that produces *bit-identical* final
-state — cache contents and stats, DRAM timing state and stats, prefetcher
-tables and counters, metrics aggregates, queue state — while running
-several times faster.  Where the speed comes from:
+pins against the scalar loop: :func:`run_buffer_batch` runs one chunk of
+:meth:`ChannelSimulator.run` in place of the scalar loop and produces
+*bit-identical* final state — cache contents and stats, DRAM timing state
+and stats, prefetcher tables and counters, metrics aggregates, queue
+state — while running several times faster.  Where the speed comes from:
 
 * **Vectorized decomposition** — block address, page number, segment
   offset and channel-block index for the whole chunk come from
-  :mod:`repro.sim.kernels` in four NumPy passes (``tolist()`` hands back
-  exact Python ints); the demand path additionally precomputes the DRAM
-  bank-index/row columns (:func:`repro.sim.kernels.dram_bank_rows`), so a
-  miss never runs the five-step scalar address decode.
-* **Inlined cache + DRAM operations** — the demand-only loop
-  (:func:`_run_passive`) fuses ``ArrayCache.access``/``fill``,
+  :func:`repro.sim.kernels.decompose_chunk` in four NumPy passes
+  (``tolist()`` hands back exact Python ints); the demand path
+  additionally precomputes the DRAM bank-index/row columns
+  (:func:`repro.sim.kernels.dram_bank_rows`), so a miss never runs the
+  five-step scalar address decode.
+* **Inlined cache + DRAM operations** — both loops work directly on the
+  :class:`~repro.cache.array_state.ArrayCache` arrays: the lookup and fill
+  of ``SetAssociativeCache.access``/``fill`` under LRU, inlined.  The
+  demand-only loop (:func:`_run_passive`) also fuses
   ``DRAMChannel.service_scalar`` + ``Bank.cas_time`` and the metric
   recurrences into one loop body over Python locals: zero function calls
   per record.  The active loop (:func:`_run_active`) keeps the prefetcher
@@ -48,9 +51,9 @@ several times faster.  Where the speed comes from:
 * **Tenant way partitions** — a fill whose requester (the record's
   device; for a prefetch fill, the device whose access triggered it) has
   a configured partition takes its way from
-  :func:`repro.cache.array_state.partition_victim`, the helper
-  ``ArrayCache.fill`` uses.  Unpartitioned configs pay one truthiness
-  test and one victim-tag test per fill.
+  :func:`repro.cache.array_state.partition_victim`, which all four fill
+  sites share.  Unpartitioned configs pay one truthiness test and one
+  victim-tag test per fill.
 * **Lineage** — an attached :class:`~repro.obs.lineage.LineageCollector`
   hears from the same rare branches the scalar loop reports from
   (prefetch-served access, skipped/unfilled/filled candidate, eviction of
@@ -61,11 +64,10 @@ Work runs per event, not deferred, exactly at these boundaries:
 prefetch-queue activity, throttle state flips
 (``notify_useful``/``notify_unused`` fire immediately, never deferred) and
 epoch closes (observability slices chunks before this function runs, so
-every epoch boundary is also a batch boundary).  One condition falls all
-the way back to the scalar loop (:func:`run_buffer_batch` returns False):
-a passive run over a cache still holding live prefetched blocks (a
-restored checkpoint from an active run — the fused demand loop elides the
-prefetch-consumption bookkeeping); everything else runs here.
+every epoch boundary is also a batch boundary).  Every chunk runs here: a
+passive run over a cache still holding live prefetched blocks (only a
+checkpoint restored from an active run leaves them) takes the active loop,
+because the fused demand loop elides the prefetch-consumption bookkeeping.
 
 Preconditions the batch loops *assume* instead of checking per record:
 
@@ -357,25 +359,21 @@ def _dram_closures(dram, rd_lats, pf_lats, wb_cell):
 
 
 def run_buffer_batch(sim, buffer, warmup_records: int = 0) -> bool:
-    """Batch-engine body for :meth:`ChannelSimulator.run_buffer`.
+    """Batch-engine body for one :meth:`ChannelSimulator.run` chunk.
 
     Requires ``sim.cache`` to be an :class:`ArrayCache` (the engine-mode
     resolution in :class:`ChannelSimulator` guarantees it) and ``sim.obs``
-    to be detached (``run_buffer`` routes observed runs through the epoch
+    to be detached (``run`` routes observed runs through the epoch
     slicer first, so each epoch slice lands here as its own chunk).
 
-    Returns True when the chunk was consumed.  Returns False — with *no*
-    state mutated — when the chunk needs the scalar loop: a passive run
-    over a cache still holding live prefetched blocks (only a checkpoint
-    restored from an active run can produce that; the fused demand loop
-    elides prefetch-consumption bookkeeping).
+    Consumes every chunk and returns True (callers count batch chunks by
+    it).  A passive prefetcher runs the fused demand loop unless a
+    restored checkpoint left prefetched blocks resident; those chunks take
+    the active loop, whose prefetcher calls are no-ops for a passive
+    prefetcher.
     """
-    prefetcher = sim.prefetcher
-    passive = prefetcher.passive
-    cache = sim.cache
-    if passive and cache._resident_prefetches:
-        return False
-
+    passive = (sim.prefetcher.passive
+               and not sim.cache._resident_prefetches)
     sim.set_warmup(warmup_records, records_seen_hint=sim._records_seen)
     total = len(buffer)
     if total == 0:
@@ -392,16 +390,12 @@ def run_buffer_batch(sim, buffer, warmup_records: int = 0) -> bool:
 
     # Warmup split: record k (0-based within the chunk) records metrics iff
     # records_seen + k >= warmup_until — so one cut index replaces the
-    # per-record comparison of the scalar loops.
+    # per-record comparison of the scalar loop.
     cut = sim._warmup_until - sim._records_seen
     if cut < 0:
         cut = 0
     elif cut > total:
         cut = total
-
-    # The per-fill ndarray store is deferred: mark the tag mirror stale up
-    # front (exception-safe) and let ArrayCache.tag_matrix rebuild lazily.
-    cache._tags_stale = True
 
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
@@ -435,7 +429,7 @@ def _run_passive(sim, block_addrs, times, read_col, device_col,
 
     The dispatcher guarantees no prefetched block is resident (and the
     demand path cannot create one), so the prefetch-consumption branches
-    of ``ArrayCache.access``/``fill`` are elided outright.  Everything
+    of the cache lookup and fill are elided outright.  Everything
     else — the DRAM service body, the Welford recurrences — is the scalar
     code inlined over Python locals; the duplicated DRAM block must stay
     in lockstep with ``DRAMChannel.service_scalar`` and the closure in

@@ -26,44 +26,49 @@ import numpy as np
 from repro.cache.cache import _PLAIN_HIT, _PLAIN_MISS, SetAssociativeCache
 from repro.config import SimConfig
 from repro.dram.channel import DRAMChannel
-from repro.dram.request import MemRequest, RequestKind
+from repro.dram.request import RequestKind
 from repro.errors import SimulationError, TraceOrderError
 from repro.power.model import MemorySystemPower
 from repro.power.prefetcher_power import PrefetcherActivity
-from repro.prefetch.base import DemandAccess, Prefetcher
+from repro.prefetch.base import Prefetcher
 from repro.prefetch.queue import PrefetchQueue, QueueStats
 from repro.sim.executor import ParallelExecutor, Parallelism
 from repro.sim.metrics import MetricSet
 from repro.trace.buffer import TraceBuffer, _DEVICE_BY_VALUE
 from repro.trace.record import TraceRecord
 
-#: Records accepted anywhere the engine takes a trace: the columnar form
-#: or the legacy object-record list.
+#: Records accepted anywhere the engine takes a trace: a column-array
+#: buffer, or an object-record list that :func:`_as_buffer` packs once.
 TraceLike = Union[TraceBuffer, Sequence[TraceRecord]]
 
 
-class _FastDemandAccess:
-    """Mutable, reused stand-in for :class:`DemandAccess` on the fast path.
+def _as_buffer(records: Union[TraceBuffer, Iterable[TraceRecord]]
+               ) -> TraceBuffer:
+    """``records`` itself if a buffer, else its records packed once."""
+    if isinstance(records, TraceBuffer):
+        return records
+    return TraceBuffer.from_records(records)
 
-    The columnar demand loop overwrites one instance per record instead of
-    allocating a frozen dataclass 120k+ times per channel.  Safe because
+
+class _FastDemandAccess:
+    """Mutable, reused stand-in for :class:`~repro.prefetch.base.DemandAccess`.
+
+    Both engines' demand loops overwrite one instance per record instead
+    of allocating a frozen dataclass 120k+ times per channel.  Safe because
     every prefetcher reads the scalar fields synchronously during
     ``observe``/``issue`` and none retains the object (audited; any new
-    prefetcher that wants to keep state must copy the fields it needs,
-    exactly as it must with the frozen object, which is also reused
-    conceptually — one per ``step`` call).
+    prefetcher that wants to keep state must copy the fields it needs).
     """
 
     __slots__ = ("block_addr", "page", "block_in_segment", "channel_block",
                  "time", "is_read", "device")
 
 
-#: Why a run_buffer() chunk ran on the scalar loop: an explicit
-#: ``engine_mode="scalar"``, an ``"auto"`` mode resolved to scalar by a
-#: non-LRU replacement policy, or a passive run over prefetched blocks a
-#: restored checkpoint left resident (the batch engine declines it).
-FALLBACK_REASONS = ("explicit_scalar", "non_lru_policy",
-                    "restored_prefetches")
+#: Why a run() chunk ran on the scalar loop: an explicit
+#: ``engine_mode="scalar"``, or an ``"auto"`` mode resolved to scalar by a
+#: non-LRU replacement policy.  A batch-mode simulator runs every chunk on
+#: the batch engine.
+FALLBACK_REASONS = ("explicit_scalar", "non_lru_policy")
 
 
 class ChannelSimulator:
@@ -71,8 +76,8 @@ class ChannelSimulator:
 
     ``engine_mode`` selects the execution backend:
 
-    * ``"scalar"`` — the per-record loops over :class:`SetAssociativeCache`
-      (the always-available oracle; supports every replacement policy).
+    * ``"scalar"`` — the per-record loop over :class:`SetAssociativeCache`
+      (the reference oracle; supports every replacement policy).
     * ``"batch"`` — the vectorized chunk engine (:mod:`repro.sim.batch`)
       over :class:`~repro.cache.array_state.ArrayCache`; bit-identical to
       scalar (``tests/test_batch_oracle.py``) but LRU-only.  Way
@@ -80,11 +85,9 @@ class ChannelSimulator:
     * ``"auto"`` (default) — ``"batch"`` when the configured replacement
       policy is LRU, ``"scalar"`` otherwise.
 
-    ``step()`` and object-record ``run()`` always use the scalar per-record
-    path regardless of mode (:class:`~repro.cache.array_state.ArrayCache`
-    implements the full scalar cache API); the mode only changes which
-    loop :meth:`run_buffer` drives.  Every :meth:`run_buffer` chunk the
-    scalar loop takes is counted by reason in :attr:`fallbacks`.
+    The mode is fixed at construction, and every chunk runs on the loop
+    it names.  Every chunk the scalar loop takes is counted by reason in
+    :attr:`fallbacks`.
     """
 
     def __init__(self, channel: int, config: SimConfig,
@@ -108,7 +111,7 @@ class ChannelSimulator:
                 engine_mode = "scalar"
                 self._scalar_reason = "non_lru_policy"
         self.engine_mode = engine_mode
-        #: Host-side count of run_buffer() chunks the scalar loop took, by
+        #: Host-side count of run() chunks the scalar loop took, by
         #: reason (:data:`FALLBACK_REASONS`).  Not simulated state: kept
         #: out of state_dict() and RunMetrics.
         self.fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
@@ -126,7 +129,7 @@ class ChannelSimulator:
         self.metrics = MetricSet()
         #: Observability hook (a TimelineCollector, see repro.obs) or None.
         #: Checked once per chunk, never per record — the disabled state
-        #: costs one attribute load per run()/run_buffer() call.
+        #: costs one attribute load per run() call.
         self.obs = None
         #: Lineage hook (a LineageCollector, see repro.obs.lineage) or
         #: None.  All engine-side hook sites, in both engines, sit on rare
@@ -154,89 +157,6 @@ class ChannelSimulator:
         """
         self._warmup_until = warmup_records
         self._records_seen = records_seen_hint
-
-    # ------------------------------------------------------------------
-    def _decompose(self, record: TraceRecord) -> DemandAccess:
-        layout = self.layout
-        block_addr = record.address >> layout.block_bits
-        page = record.address >> layout.page_bits
-        block_in_segment = block_addr & (self._blocks_per_segment - 1)
-        return DemandAccess(
-            block_addr=block_addr,
-            page=page,
-            block_in_segment=block_in_segment,
-            channel_block=page * self._blocks_per_segment + block_in_segment,
-            time=record.arrival_time,
-            is_read=record.is_read,
-            device=record.device,
-        )
-
-    def step(self, record: TraceRecord,
-             record_metrics: Optional[bool] = None) -> int:
-        """Simulate one demand access; returns its observed latency.
-
-        ``record_metrics=None`` (the default) consults the warmup state
-        configured by :meth:`set_warmup`; an explicit bool overrides it.
-        """
-        if record_metrics is None:
-            record_metrics = self._records_seen >= self._warmup_until
-        self._records_seen += 1
-        now = record.arrival_time
-        self._last_time = max(self._last_time, now)
-        access = self._decompose(record)
-        result = self.cache.access(access.block_addr, now,
-                                   is_write=not access.is_read)
-
-        went_dram = False
-        if result.hit:
-            latency = self.config.sc_hit_latency
-        elif result.delayed:
-            # Data already in flight (MSHR merge or late prefetch).
-            latency = self.config.sc_hit_latency + result.wait_cycles
-        else:
-            went_dram = True
-            completion = self.dram.service(MemRequest(
-                block_addr=access.block_addr,
-                arrival_time=now,
-                kind=RequestKind.DEMAND_READ,
-            ))
-            eviction = self.cache.fill(
-                access.block_addr, now, ready_time=completion,
-                dirty=not access.is_read,
-                requester=access.device.value,
-            )
-            self._handle_eviction(eviction, now)
-            if access.is_read:
-                latency = self.config.sc_hit_latency + (completion - now)
-            else:
-                # Posted write: the requester does not wait for the fetch.
-                latency = self.config.sc_hit_latency
-
-        if record_metrics:
-            self.metrics.record(latency, access.is_read,
-                                device=access.device.name,
-                                hit=result.hit,
-                                useful=result.prefetch_source is not None,
-                                dram=went_dram)
-
-        if result.prefetch_source is not None:
-            self.prefetcher.notify_useful()
-            if self.lineage is not None:
-                self.lineage.note_used(access.block_addr,
-                                       result.prefetch_source,
-                                       result.late_prefetch, now)
-
-        # Learning phase: always on, sees the complete stream (Section 2).
-        self.prefetcher.observe(access)
-        # Issuing phase.  A hit that is the first demand touch of a
-        # prefetched block is the classic secondary trigger.
-        prefetched_hit = result.hit and result.prefetch_source is not None
-        candidates = self.prefetcher.issue(access, result.hit, prefetched_hit)
-        if candidates:
-            accepted = self.queue.push(candidates)
-            if accepted:
-                self._service_prefetches(now, requester=access.device.value)
-        return latency
 
     def _service_prefetches(self, now: int,
                             requester: Optional[int] = None) -> None:
@@ -282,29 +202,29 @@ class ChannelSimulator:
             warmup_records: int = 0) -> None:
         """Drive a full per-channel record stream through the simulator.
 
-        A :class:`TraceBuffer` stream goes through the columnar fast loop
-        (:meth:`run_buffer`); an object-record iterable goes through
-        :meth:`step` per record.  Both produce bit-identical state
-        (``tests/test_fastpath_equivalence.py``).
-
-        A :class:`TraceBuffer` chunk is checked for arrival order first
+        An object-record iterable is packed once into a
+        :class:`TraceBuffer`.  The buffer is checked for arrival order
         (:meth:`check_order`), so an out-of-order chunk raises
-        :class:`TraceOrderError` with no state changed.
+        :class:`TraceOrderError` with no state changed.  A batch-mode
+        simulator then hands it to
+        :func:`repro.sim.batch.run_buffer_batch`; a scalar-mode one runs
+        the reference loop (:meth:`_run_scalar`).
         """
-        if not self._order_checked and isinstance(records, TraceBuffer):
+        records = _as_buffer(records)
+        if not self._order_checked:
             self.check_order(records)
         if self.obs is not None:
             self._run_observed(records, warmup_records)
             return
-        if isinstance(records, TraceBuffer):
-            self.run_buffer(records, warmup_records=warmup_records)
+        if self.engine_mode == "batch":
+            from repro.sim.batch import run_buffer_batch
+            run_buffer_batch(self, records, warmup_records=warmup_records)
             return
-        self.set_warmup(warmup_records, records_seen_hint=self._records_seen)
-        for record in records:
-            self.step(record)
-        self.finish()
+        self.fallbacks[self._scalar_reason] += 1
+        self._run_scalar(records, warmup_records)
 
-    def _run_observed(self, records, warmup_records: int) -> None:
+    def _run_observed(self, records: TraceBuffer,
+                      warmup_records: int) -> None:
         """Observed run path: the stream sliced at epoch boundaries.
 
         Each epoch-aligned sub-chunk goes through the *unmodified* plain
@@ -317,8 +237,6 @@ class ChannelSimulator:
         obs = self.obs
         obs.begin(self)
         epoch_records = obs.epoch_records
-        if not hasattr(records, "__getitem__"):
-            records = list(records)
         total = len(records)
         self.obs = None
         order_checked = self._order_checked
@@ -364,28 +282,12 @@ class ChannelSimulator:
                 f"{int(latest[index])}; arrival times must not step back "
                 f"by more than tREFI")
 
-    def run_buffer(self, buffer: TraceBuffer,
-                   warmup_records: int = 0) -> None:
-        """Columnar fast path: :meth:`run` over a :class:`TraceBuffer`.
-
-        Semantically identical to calling :meth:`step` per record, but
-        iterates the columns directly — no ``TraceRecord``/``DemandAccess``
-        allocation per access — with every attribute and config lookup
-        hoisted out of the loop.  Keep this in lockstep with :meth:`step`.
+    def _run_scalar(self, buffer: TraceBuffer, warmup_records: int) -> None:
+        """The reference loop: one record at a time over the columns of an
+        order-checked chunk, with every attribute and config lookup
+        hoisted out of the loop.  The batch loops must stay bit-identical
+        to it (``tests/test_batch_oracle.py``).
         """
-        if self.obs is not None:
-            self._run_observed(buffer, warmup_records)
-            return
-        if self.engine_mode == "batch":
-            from repro.sim.batch import run_buffer_batch
-            if run_buffer_batch(self, buffer, warmup_records=warmup_records):
-                return
-            # Declined chunk (a passive run over live prefetched blocks
-            # from a restored checkpoint): fall through to the scalar loop
-            # below — ArrayCache is API-compatible with the scalar cache.
-            self.fallbacks["restored_prefetches"] += 1
-        else:
-            self.fallbacks[self._scalar_reason] += 1
         self.set_warmup(warmup_records, records_seen_hint=self._records_seen)
         addresses, access_types, device_values, arrival_times = (
             buffer.columns_as_lists())
@@ -418,60 +320,6 @@ class ChannelSimulator:
             max(_DEVICE_BY_VALUE) + 1)]
         device_names = [device.name for device in devices]
         access = _FastDemandAccess()
-
-        if prefetcher.passive:
-            # Demand-only loop: a passive prefetcher (observe/issue are
-            # pure no-ops) never fills, so prefetch_source is always None
-            # and the access decomposition beyond the block address is
-            # never consumed — skip all of it.  State and metrics are
-            # bit-identical to the full loop below.
-            for address, access_type, device_value, now in zip(
-                    addresses, access_types, device_values, arrival_times):
-                record_metrics = records_seen >= warmup_until
-                records_seen += 1
-                if now > last_time:
-                    last_time = now
-                is_read = access_type == 0  # AccessType.READ
-                block_addr = address >> block_bits
-                result = cache_access(block_addr, now, is_write=not is_read)
-                if result is _PLAIN_HIT:
-                    latency = sc_hit_latency
-                    hit_f = True
-                    useful_f = False
-                    dram_f = False
-                elif result is _PLAIN_MISS:
-                    completion = dram_service(block_addr, now, demand_read)
-                    eviction = cache_fill(block_addr, now, completion,
-                                          False, None, not is_read,
-                                          device_value)
-                    if eviction is not None:
-                        handle_eviction(eviction, now)
-                    if is_read:
-                        latency = sc_hit_latency + (completion - now)
-                    else:
-                        latency = sc_hit_latency
-                    hit_f = False
-                    useful_f = False
-                    dram_f = True
-                else:
-                    # Delayed hit (MSHR merge of an in-flight demand fill)
-                    # or a prefetched block restored from a checkpoint.
-                    latency = sc_hit_latency + result.wait_cycles
-                    hit_f = result.hit
-                    useful_f = result.prefetch_source is not None
-                    dram_f = False
-                    if useful_f and lineage is not None:
-                        lineage.note_used(block_addr,
-                                          result.prefetch_source,
-                                          result.late_prefetch, now)
-                if record_metrics:
-                    metrics_record(latency, is_read,
-                                   device=device_names[device_value],
-                                   hit=hit_f, useful=useful_f, dram=dram_f)
-            self._records_seen = records_seen
-            self._last_time = last_time
-            self.finish()
-            return
 
         for address, access_type, device_value, now in zip(
                 addresses, access_types, device_values, arrival_times):
@@ -515,27 +363,12 @@ class ChannelSimulator:
                 else:
                     latency = sc_hit_latency
             else:
-                # Delayed hits and prefetch-served accesses: the general
-                # decode, mirroring step().
+                # A delayed hit (data still in flight) or a prefetch-served
+                # hit; every miss is the _PLAIN_MISS singleton.
                 hit = result.hit
                 prefetch_source = result.prefetch_source
                 went_dram = False
-                if hit:
-                    latency = sc_hit_latency
-                elif result.delayed:
-                    latency = sc_hit_latency + result.wait_cycles
-                else:
-                    went_dram = True
-                    completion = dram_service(block_addr, now, demand_read)
-                    eviction = cache_fill(block_addr, now, completion,
-                                          False, None, not is_read,
-                                          device_value)
-                    if eviction is not None:
-                        handle_eviction(eviction, now)
-                    if is_read:
-                        latency = sc_hit_latency + (completion - now)
-                    else:
-                        latency = sc_hit_latency
+                latency = sc_hit_latency + result.wait_cycles
 
             if record_metrics:
                 metrics_record(latency, is_read,
@@ -643,10 +476,8 @@ def channel_warmup_counts(records: TraceLike, config: SimConfig) -> List[int]:
     counts *before* the first chunk (warmup suppression cannot be applied
     retroactively); this helper computes them from the full trace.
     """
-    buffer = (records if isinstance(records, TraceBuffer)
-              else TraceBuffer.from_records(records))
     return [int(len(stream) * config.warmup_fraction)
-            for stream in buffer.split_channels(config.layout)]
+            for stream in _as_buffer(records).split_channels(config.layout)]
 
 
 class SystemSimulator:
@@ -676,55 +507,36 @@ class SystemSimulator:
 
     def run(self, records: TraceLike,
             warmup_fraction: Optional[float] = None,
-            parallelism: "Parallelism" = "serial",
-            columnar: bool = True) -> None:
+            parallelism: "Parallelism" = "serial") -> None:
         """Simulate the whole trace.
 
         Records are routed per channel in arrival order; metrics ignore the
         warmup prefix of each channel's stream.  ``records`` may be a
-        :class:`TraceBuffer` (canonical) or an object-record list; with
-        ``columnar`` (the default) a record list is packed into a buffer,
-        the routing loop becomes one vectorized
-        :meth:`TraceBuffer.split_channels` pass, and each channel runs the
-        columnar fast loop.  ``columnar=False`` forces the legacy
-        per-record-object path — same results, kept for the throughput
-        benchmark and the fast-path equivalence suite.
+        :class:`TraceBuffer` (canonical) or an object-record list, which is
+        packed into a buffer once; routing is one vectorized
+        :meth:`TraceBuffer.split_channels` pass.
 
         ``parallelism`` selects the channel-grain execution mode
         (``"serial"``, ``"auto"`` or a worker count): channel simulators
         share no mutable state once the trace is split, so each stream may
         run in its own process and the driven simulator shipped back — as
-        compact column arrays, not pickled record objects, on the columnar
-        path.  Results are bit-identical to serial execution (see
+        compact column arrays, not pickled record objects.  Results are bit-identical to serial execution (see
         ``docs/parallelism.md``); the serial path is used deterministically
         whenever one worker resolves or no pool is available.
         """
         spans = self.spans
         if spans is None or not spans.enabled:
-            return self._run_impl(records, warmup_fraction, parallelism,
-                                  columnar)
+            return self._run_impl(records, warmup_fraction, parallelism)
         from repro.obs.trace_spans import SPAN_ENGINE_RUN
         with spans.span(SPAN_ENGINE_RUN):
-            return self._run_impl(records, warmup_fraction, parallelism,
-                                  columnar)
+            return self._run_impl(records, warmup_fraction, parallelism)
 
     def _run_impl(self, records: TraceLike,
                   warmup_fraction: Optional[float],
-                  parallelism: "Parallelism", columnar: bool) -> None:
+                  parallelism: "Parallelism") -> None:
         if warmup_fraction is None:
             warmup_fraction = self.config.warmup_fraction
-        layout = self.config.layout
-        if columnar:
-            buffer = (records if isinstance(records, TraceBuffer)
-                      else TraceBuffer.from_records(records))
-            streams: List[TraceLike] = buffer.split_channels(layout)
-        else:
-            record_list = (records.to_records()
-                           if isinstance(records, TraceBuffer) else records)
-            object_streams: List[List[TraceRecord]] = [[] for _ in self.channels]
-            for record in record_list:
-                object_streams[layout.channel(record.address)].append(record)
-            streams = object_streams
+        streams = _as_buffer(records).split_channels(self.config.layout)
         self._drive([
             (channel_sim, stream, int(len(stream) * warmup_fraction))
             for channel_sim, stream in zip(self.channels, streams)
@@ -734,8 +546,7 @@ class SystemSimulator:
         """Run each ``(channel, stream, warmup)`` job once every stream has
         passed its order check, so a rejected chunk changes no channel."""
         for channel_sim, stream, _ in jobs:
-            if isinstance(stream, TraceBuffer):
-                channel_sim.check_order(stream)
+            channel_sim.check_order(stream)
         for channel_sim in self.channels:
             channel_sim._order_checked = True
         try:
@@ -798,8 +609,7 @@ class SystemSimulator:
 
     def _feed_impl(self, records: TraceLike,
                    parallelism: "Parallelism") -> int:
-        buffer = (records if isinstance(records, TraceBuffer)
-                  else TraceBuffer.from_records(records))
+        buffer = _as_buffer(records)
         streams = buffer.split_channels(self.config.layout)
         self._drive([
             (channel_sim, stream, channel_sim._warmup_until)

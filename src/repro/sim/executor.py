@@ -15,7 +15,7 @@ available without changing any simulated behaviour:
   channel's stream can run in its own process.  The fully-constructed
   :class:`~repro.sim.engine.ChannelSimulator` (prefetcher instance
   included) is pickled out, driven, and shipped back; the stream itself
-  travels as a columnar :class:`~repro.trace.buffer.TraceBuffer` — raw
+  travels as a :class:`~repro.trace.buffer.TraceBuffer` — raw
   NumPy column buffers, ~10× smaller than a pickled record-object list.
 
 Both grains preserve the serial contract bit-for-bit: record streams,
@@ -161,11 +161,11 @@ def run_simulation_task(task: SimulationTask):
 def run_channel_job(job: Tuple[object, object, int]):
     """Drive one pickled ChannelSimulator over its stream; pool entry point.
 
-    The stream is normally a :class:`~repro.trace.buffer.TraceBuffer`,
-    which pickles as compact column arrays (18 B/record) instead of a
-    record-object list (~200 B/record) — the payload shipped to each
-    worker shrinks by an order of magnitude.  Legacy record lists still
-    work (``SystemSimulator.run(columnar=False)``).
+    The stream is a :class:`~repro.trace.buffer.TraceBuffer`
+    (``SystemSimulator`` packs a record list once, before the channel
+    split), which pickles as compact column arrays (18 B/record) instead
+    of a record-object list (~200 B/record) — the payload shipped to each
+    worker shrinks by an order of magnitude.
     """
     channel_sim, stream, warmup = job
     channel_sim.run(stream, warmup_records=warmup)

@@ -1,14 +1,13 @@
 """Vectorized address kernels for the batch engine.
 
-Every function here is a whole-chunk NumPy counterpart of a scalar helper
-in :mod:`repro.geometry` / :meth:`ChannelSimulator._decompose`: one call
-decomposes an entire :class:`~repro.trace.buffer.TraceBuffer` column into
-block addresses, page numbers, segment offsets, set indices and run
-boundaries.  The outputs are handed back as exact Python ints
-(``ndarray.tolist()`` converts in C), so the batch engine's bookkeeping
-arithmetic is bit-identical to the scalar loops — the property suite in
-``tests/test_batch_properties.py`` pins each kernel element-wise against
-the scalar functions.
+Each function is a whole-chunk NumPy counterpart of per-record address
+arithmetic the scalar loop does: one call decomposes an entire
+:class:`~repro.trace.buffer.TraceBuffer` address column.  The outputs are
+handed back as exact Python ints (``ndarray.tolist()`` converts in C), so
+the batch engine's bookkeeping arithmetic is bit-identical to the scalar
+loop — the property suite in ``tests/test_batch_properties.py`` pins each
+kernel element-wise against the scalar helpers in :mod:`repro.geometry`
+and :class:`repro.dram.address_mapping.AddressMapping`.
 
 NumPy shift/mask pitfall: an operand like ``2`` next to a ``uint64`` array
 promotes the whole expression to ``float64`` and silently rounds addresses
@@ -25,44 +24,9 @@ import numpy as np
 from repro.geometry import AddressLayout
 
 __all__ = [
-    "block_addresses",
-    "page_numbers",
-    "segment_offsets",
-    "channel_blocks",
-    "set_indices",
     "decompose_chunk",
     "dram_bank_rows",
-    "page_run_lengths",
-    "lru_victims",
 ]
-
-
-def block_addresses(addresses: np.ndarray, layout: AddressLayout) -> np.ndarray:
-    """``address >> block_bits`` for a whole column (uint64)."""
-    return addresses >> np.uint64(layout.block_bits)
-
-
-def page_numbers(addresses: np.ndarray, layout: AddressLayout) -> np.ndarray:
-    """``address >> page_bits`` for a whole column (uint64)."""
-    return addresses >> np.uint64(layout.page_bits)
-
-
-def segment_offsets(addresses: np.ndarray, layout: AddressLayout) -> np.ndarray:
-    """Per-record block offset inside the channel's segment (0..15)."""
-    blocks = addresses >> np.uint64(layout.block_bits)
-    return blocks & np.uint64(layout.blocks_per_segment - 1)
-
-
-def channel_blocks(addresses: np.ndarray, layout: AddressLayout) -> np.ndarray:
-    """Channel-local contiguous block index (see DemandAccess.channel_block)."""
-    pages = addresses >> np.uint64(layout.page_bits)
-    offsets = segment_offsets(addresses, layout)
-    return pages * np.uint64(layout.blocks_per_segment) + offsets
-
-
-def set_indices(block_addrs: np.ndarray, num_sets: int) -> np.ndarray:
-    """``block_addr & (num_sets - 1)`` — the cache set of each record."""
-    return block_addrs & np.uint64(num_sets - 1)
 
 
 def decompose_chunk(
@@ -112,39 +76,3 @@ def dram_bank_rows(
     else:
         rows = remainder
     return bank.tolist(), rows.tolist()
-
-
-def page_run_lengths(pages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Run-length encode consecutive equal page numbers.
-
-    Returns ``(starts, lengths)``: ``starts[k]`` is the index of run ``k``'s
-    first record and ``lengths[k]`` its record count; runs partition the
-    chunk.  The batch engine uses this to size the ``observe_run``
-    batching buffers before the loop starts.
-    """
-    n = len(pages)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    boundaries = np.flatnonzero(pages[1:] != pages[:-1]) + 1
-    starts = np.concatenate(([0], boundaries)).astype(np.int64)
-    ends = np.concatenate((boundaries, [n])).astype(np.int64)
-    return starts, ends - starts
-
-
-def lru_victims(tag_matrix: np.ndarray, age_matrix: np.ndarray) -> np.ndarray:
-    """Vectorized LRU victim selection for every set at once.
-
-    Mirrors :meth:`repro.cache.replacement.lru.LRUPolicy.victim`: the first
-    invalid way (tag < 0 in the matrix encoding) wins outright; otherwise
-    the lowest-index way holding the strict minimum ``last_touch``.
-    Returns one way index per set.  Used by the equivalence tests to pin
-    the array state representation against the scalar policy; the batch
-    engine itself only evicts at scalar fallback boundaries, where the
-    per-set free lists give the same answer.
-    """
-    invalid = tag_matrix < 0
-    has_invalid = invalid.any(axis=1)
-    first_invalid = invalid.argmax(axis=1)
-    oldest = age_matrix.argmin(axis=1)  # argmin takes the first minimum
-    return np.where(has_invalid, first_invalid, oldest).astype(np.int64)

@@ -41,7 +41,7 @@ def simulate(records: TraceLike, prefetcher_name: str,
              engine_mode: str = "auto") -> RunResult:
     """Run one prefetcher over an explicit trace.
 
-    ``records`` may be a columnar :class:`~repro.trace.buffer.TraceBuffer`
+    ``records`` may be a :class:`~repro.trace.buffer.TraceBuffer`
     (canonical, fastest) or a ``TraceRecord`` list (converted internally);
     results are bit-identical either way.  Defaults to
     :meth:`SimConfig.experiment_scale` — the scaled-down SC matched to the

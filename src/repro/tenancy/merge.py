@@ -1,6 +1,6 @@
 """Deterministic multi-tenant trace merging.
 
-Each :class:`~repro.tenancy.spec.TenantSpec` regenerates to a columnar
+Each :class:`~repro.tenancy.spec.TenantSpec` regenerates to a column-array
 trace (:func:`tenant_trace`): the app profile's synthetic trace with the
 device column retagged to the tenant's device and arrival times reclocked
 by the spec's phase offset / intensity ratio.  :func:`merge_traces`

@@ -17,11 +17,11 @@ engine's demand loop iterates the columns without materialising records.
 
 The object-record API stays available as a thin compatibility layer:
 :meth:`from_records` / :meth:`iter_records` / :meth:`to_records` convert
-losslessly, and the engine accepts either form.  The column values are the
+losslessly, and the engine accepts either form, packing a record list into
+a buffer once before it simulates anything.  The column values are the
 exact integers a :class:`~repro.trace.record.TraceRecord` would carry
-(``.tolist()`` hands back Python ints), so both paths are bit-identical —
-``tests/test_fastpath_equivalence.py`` and the golden-trace fixtures
-enforce this.
+(``.tolist()`` hands back Python ints) — ``tests/test_fastpath_equivalence.py``
+and the golden-trace fixtures enforce this.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class TraceBuffer:
     """One bus trace as four parallel NumPy columns.
 
     Instances are cheap to slice (shares memory), cheap to pickle (raw
-    array buffers), and iterate ~10× faster through the engine's columnar
-    fast path than the equivalent ``List[TraceRecord]``.
+    array buffers), and iterate ~10× faster through the engine's
+    column-wise loops than the equivalent ``List[TraceRecord]``.
     """
 
     __slots__ = ("addresses", "access_types", "devices", "arrival_times")
@@ -185,7 +185,7 @@ class TraceBuffer:
         """The four columns as Python-int lists (the fast loop's input).
 
         ``ndarray.tolist()`` converts in C and hands back exact Python
-        ints, so downstream arithmetic is bit-identical to the object path.
+        ints, so downstream arithmetic matches the record objects' exactly.
         """
         return (
             self.addresses.tolist(),

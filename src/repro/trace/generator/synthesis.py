@@ -248,7 +248,7 @@ class TraceSynthesizer:
         tuples in arrival-time order.
 
         This is the single emission loop behind both :meth:`records` (object
-        API) and :meth:`columns` (columnar API): the RNG call sequence is
+        API) and :meth:`columns` (column API): the RNG call sequence is
         identical either way, so a given ``(profile, seed, length)`` produces
         bit-identical traces through both.
         """
@@ -289,7 +289,7 @@ class TraceSynthesizer:
     def columns(self, length: int):
         """Emit ``length`` records as four plain-int column lists.
 
-        The columnar twin of :meth:`records`: no per-record object is
+        The column-list twin of :meth:`records`: no per-record object is
         allocated, which roughly halves generation time for benchmark-size
         traces.  Returns ``(addresses, access_types, devices,
         arrival_times)`` ready for :meth:`TraceBuffer.from_columns`.
@@ -333,7 +333,7 @@ def generate_trace_buffer(
     seed: int = 0,
     layout: AddressLayout = DEFAULT_LAYOUT,
 ):
-    """Generate a full trace as a columnar :class:`TraceBuffer`.
+    """Generate a full trace as a column-array :class:`TraceBuffer`.
 
     Bit-identical to ``TraceBuffer.from_records(generate_trace(...))`` for
     the same arguments (one shared emission loop, see

@@ -31,7 +31,7 @@ _HEADER = struct.Struct("<8sI")
 _RECORD = struct.Struct("<QQBB")
 #: NumPy view of one packed record — same 18-byte layout as ``_RECORD``
 #: (``<`` disables struct padding, and the dtype is unaligned by default),
-#: so the columnar reader/writer and the object reader/writer are
+#: so the buffer reader/writer and the object reader/writer are
 #: byte-interchangeable.
 _RECORD_DTYPE = np.dtype([
     ("address", "<u8"),

@@ -313,7 +313,8 @@ def test_checkpoint_resumes_across_engines(partitioned, tenant_buffer,
 def test_out_of_order_chunk_raises_and_changes_nothing(
         config, buffers, engine_mode, observed):
     """A chunk whose last record steps back by more than tREFI is refused
-    on both engines before any channel (not only its own) changes."""
+    on both engines before any channel (not only its own) changes, as a
+    buffer through feed() and as a TraceRecord list through run()."""
     buffer = buffers["CFM"]
     simulator = _simulator(config, "planaria", engine_mode, lineage=True)
     if observed:
@@ -326,11 +327,13 @@ def test_out_of_order_chunk_raises_and_changes_nothing(
     times[-1] = times[0] - config.dram.timing.tREFI - 1
     bad = TraceBuffer(chunk.addresses, chunk.access_types, chunk.devices,
                       times)
-    with pytest.raises(TraceOrderError) as excinfo:
-        simulator.feed(bad)
-    assert isinstance(excinfo.value, SimulationError)
-    diffs = deep_diff(before, simulator.state_dict(), path="state")
-    assert not diffs, "\n".join(diffs)
+    for attempt in (lambda: simulator.feed(bad),
+                    lambda: simulator.run(bad.to_records())):
+        with pytest.raises(TraceOrderError) as excinfo:
+            attempt()
+        assert isinstance(excinfo.value, SimulationError)
+        diffs = deep_diff(before, simulator.state_dict(), path="state")
+        assert not diffs, "\n".join(diffs)
 
     # A step back of exactly tREFI is tolerated, as in service_scalar.
     times[-1] = int(times[:-1].max()) - config.dram.timing.tREFI
@@ -340,18 +343,23 @@ def test_out_of_order_chunk_raises_and_changes_nothing(
 
 def test_channel_run_checks_order_against_carried_time(config, buffers):
     """Direct channel callers get the check too, against the latest
-    arrival of earlier chunks."""
+    arrival of earlier chunks, whether the chunk is a buffer or a
+    TraceRecord list; either way the channel is left unchanged."""
     buffer = buffers["CFM"]
     simulator = _simulator(config, "none", "batch")
     channel = simulator.channels[0]
     stream = buffer.split_channels(config.layout)[0]
     channel.run(stream)
     late = int(stream.arrival_times.max()) - config.dram.timing.tREFI - 1
-    with pytest.raises(TraceOrderError):
-        channel.run(TraceBuffer(stream.addresses[:1],
-                                stream.access_types[:1],
-                                stream.devices[:1],
-                                np.array([late], dtype=np.int64)))
+    late_chunk = TraceBuffer(stream.addresses[:1], stream.access_types[:1],
+                             stream.devices[:1],
+                             np.array([late], dtype=np.int64))
+    before = channel.state_dict()
+    for records in (late_chunk, late_chunk.to_records()):
+        with pytest.raises(TraceOrderError):
+            channel.run(records)
+        diffs = deep_diff(before, channel.state_dict(), path="channel")
+        assert not diffs, "\n".join(diffs)
 
 
 def test_batch_engine_resolves_for_lru_only(config, buffers):
@@ -383,9 +391,10 @@ def test_batch_engine_resolves_for_lru_only(config, buffers):
             engine_mode="batch")
 
 
-def test_batch_falls_back_for_restored_prefetched_blocks(config, buffers):
+def test_batch_runs_restored_prefetched_blocks(config, buffers):
     """A passive batch run over a checkpoint holding live prefetched
-    blocks declines the fused demand loop and still matches scalar."""
+    blocks stays on the batch engine (its active loop, not the fused
+    demand loop) and matches scalar on full channel state."""
     buffer = buffers["CFM"]
     cut = LENGTH // 2
 
@@ -397,7 +406,7 @@ def test_batch_falls_back_for_restored_prefetched_blocks(config, buffers):
         donor.set_stream_warmup(channel_warmup_counts(buffer, config))
         donor.feed(buffer[:cut])
         # Adopt the active run's cache/DRAM state into a *passive*
-        # simulator: resident prefetched blocks force the fallback.
+        # simulator: resident prefetched blocks rule out the demand loop.
         target = SystemSimulator(
             config, lambda layout, ch: make_prefetcher("none", layout, ch),
             engine_mode=engine_mode)
@@ -418,10 +427,8 @@ def test_batch_falls_back_for_restored_prefetched_blocks(config, buffers):
     assert live_channels, "fixture lost its live prefetched blocks"
     assert_channels_equal(scalar_sim, batch_sim, "restored passive run")
 
-    # Each declined chunk is counted by reason, host-side only: one per
-    # channel that held live prefetched blocks.
+    # No chunk left the batch engine.
     assert batch_sim.fallback_counts() == {
-        "explicit_scalar": 0, "non_lru_policy": 0,
-        "restored_prefetches": live_channels}
+        "explicit_scalar": 0, "non_lru_policy": 0}
     assert scalar_sim.fallback_counts()["explicit_scalar"] == len(
         scalar_sim.channels)

@@ -13,11 +13,10 @@ Two layers of pinning, both against scalar ground truth:
 * **Kernel-level** — every function in :mod:`repro.sim.kernels` pinned
   element-wise against the scalar helpers it vectorizes
   (:class:`repro.geometry.AddressLayout` methods,
-  :meth:`repro.dram.address_mapping.AddressMapping.decode`,
-  :meth:`repro.cache.replacement.lru.LRUPolicy.victim`), plus
-  :class:`repro.cache.array_state.ArrayCache` against
-  :class:`repro.cache.cache.SetAssociativeCache` under random operation
-  sequences.
+  :meth:`repro.dram.address_mapping.AddressMapping.decode`), plus
+  :class:`repro.cache.array_state.ArrayCache` under the batch engine
+  against :class:`repro.cache.cache.SetAssociativeCache` under the scalar
+  loop, on a small cache under random access/invalidate sequences.
 
 Addresses go up to 2**60 in the kernel properties on purpose: a scalar
 operand that slips into the NumPy expressions un-wrapped promotes uint64
@@ -26,10 +25,8 @@ bug class these tests exist to catch.
 """
 
 import dataclasses
-import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.cache.array_state import ArrayCache
@@ -37,7 +34,9 @@ from repro.cache.cache import SetAssociativeCache
 from repro.config import CacheConfig, DRAMConfig, SimConfig
 from repro.dram.address_mapping import AddressMapping
 from repro.geometry import AddressLayout
+from repro.prefetch.registry import make_prefetcher
 from repro.sim import kernels
+from repro.sim.engine import ChannelSimulator
 from repro.trace.buffer import TraceBuffer
 from repro.trace.record import AccessType, DeviceID, TraceRecord
 
@@ -220,10 +219,6 @@ class TestAddressKernels:
         column = np.asarray(addrs, dtype=np.uint64)
         blocks, pages, offsets, chan_blocks = kernels.decompose_chunk(
             column, layout)
-        assert blocks == kernels.block_addresses(column, layout).tolist()
-        assert pages == kernels.page_numbers(column, layout).tolist()
-        assert offsets == kernels.segment_offsets(column, layout).tolist()
-        assert chan_blocks == kernels.channel_blocks(column, layout).tolist()
         per_segment = layout.blocks_per_segment
         for addr, block, page, offset, chan_block in zip(
                 addrs, blocks, pages, offsets, chan_blocks):
@@ -254,95 +249,79 @@ class TestAddressKernels:
             assert bank_index == decoded.rank * num_banks + decoded.bank
             assert row == decoded.row
 
-    @hsettings(max_examples=25, deadline=None)
-    @given(pages=st.lists(st.integers(min_value=0, max_value=7),
-                          min_size=0, max_size=80))
-    def test_page_run_lengths_matches_groupby(self, pages):
-        column = np.asarray(pages, dtype=np.uint64)
-        starts, lengths = kernels.page_run_lengths(column)
-        expected = [len(list(group))
-                    for _, group in itertools.groupby(pages)]
-        assert lengths.tolist() == expected
-        assert starts.tolist() == [
-            sum(expected[:k]) for k in range(len(expected))]
-        # Runs partition the chunk and each run is a constant page.
-        assert int(lengths.sum()) == len(pages)
-        for start, length in zip(starts.tolist(), lengths.tolist()):
-            assert len(set(pages[start:start + length])) == 1
-
 
 # ----------------------------------------------------------------------
 # Array cache state vs the scalar cache under random operation sequences
 # ----------------------------------------------------------------------
 SMALL_CACHE = CacheConfig(size_bytes=64 * 4 * 8, associativity=4,
                           block_size=64)  # 8 sets — evictions come fast
+SMALL_CONFIG = SimConfig(cache=SMALL_CACHE)
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(("access", "access", "fill", "fill", "invalidate")),
-        st.integers(min_value=0, max_value=95),   # block address universe
-        st.booleans(),                            # is_write / prefetched
+        st.sampled_from(("access", "access", "access", "invalidate")),
+        st.integers(min_value=0, max_value=95),   # channel-0 block index
+        st.booleans(),                # is_write / invalidate the prefetch
     ),
-    min_size=1, max_size=120)
+    min_size=16, max_size=120)
 
 
-def _apply(cache, ops):
-    """Drive one cache through an op sequence; returns observable results."""
+def _channel0_block(index):
+    """Block address of channel 0's ``index``-th block: channel 0 owns the
+    first segment of every page, so consecutive indices are exactly the
+    next-line prefetcher's successive targets."""
+    layout = SMALL_CONFIG.layout
+    segment = layout.blocks_per_segment
+    return (index // segment) * layout.blocks_per_page + index % segment
+
+
+def _apply(engine_mode, ops):
+    """Replay an op sequence on one channel simulator.
+
+    Each run of accesses is fed as one record-list chunk; an invalidate
+    lands between chunks.  The next-line prefetcher keeps prefetched
+    blocks resident, so accesses consume them and fills evict them.  An
+    invalidate with its flag set targets the block after the last access
+    (its next-line prefetch target), so invalidates often drop a
+    prefetched block.  Returns the simulator and the invalidate results.
+    """
+    sim = ChannelSimulator(
+        0, SMALL_CONFIG, make_prefetcher("nextline", SMALL_CONFIG.layout, 0),
+        engine_mode=engine_mode)
     results = []
+    chunk = []
     now = 0
-    for kind, block_addr, flag in ops:
+    last_index = 0
+    for kind, index, flag in ops:
         now += 3
         if kind == "access":
-            outcome = cache.access(block_addr, now, is_write=flag)
-        elif kind == "fill":
-            if cache.contains(block_addr):
-                continue  # both caches raise on double fill; skip in sync
-            outcome = cache.fill(block_addr, now, ready_time=now + 50,
-                                 prefetched=flag,
-                                 source="prop" if flag else None,
-                                 dirty=not flag)
-        else:
-            outcome = cache.invalidate(block_addr)
-        results.append(outcome)
-    return results
+            last_index = index
+            chunk.append(TraceRecord(
+                address=_channel0_block(index) * SMALL_CACHE.block_size,
+                access_type=AccessType.WRITE if flag else AccessType.READ,
+                device=DeviceID.CPU, arrival_time=now))
+            continue
+        sim.feed(chunk)
+        chunk = []
+        target = _channel0_block(last_index + 1 if flag else index)
+        results.append(sim.cache.invalidate(target))
+    sim.feed(chunk)
+    return sim, results
 
 
 class TestArrayCacheEquivalence:
     @hsettings(max_examples=30, deadline=None)
     @given(ops=operations)
     def test_random_op_sequence_matches_scalar_cache(self, ops):
-        scalar = SetAssociativeCache(SMALL_CACHE)
-        array = ArrayCache(SMALL_CACHE)
-        scalar_results = _apply(scalar, ops)
-        array_results = _apply(array, ops)
+        scalar, scalar_results = _apply("scalar", ops)
+        batch, batch_results = _apply("batch", ops)
+        assert isinstance(scalar.cache, SetAssociativeCache)
+        assert isinstance(batch.cache, ArrayCache)
 
-        diffs = deep_diff(scalar_results, array_results, path="results")
-        deep_diff(scalar.state_dict(), array.state_dict(), path="state",
+        diffs = deep_diff(scalar_results, batch_results, path="results")
+        deep_diff(scalar.state_dict(), batch.state_dict(), path="state",
                   out=diffs)
         assert not diffs, "\n".join(diffs)
-        assert array.occupancy() == scalar.occupancy()
-        assert (array.resident_prefetches()
-                == scalar.resident_prefetches())
-        # The lazy tag mirror must rebuild to exactly the live contents.
-        live = array.tag_matrix().copy()
-        array._tags_stale = True
-        assert np.array_equal(array.tag_matrix(), live)
-
-    @hsettings(max_examples=30, deadline=None)
-    @given(ops=operations)
-    def test_lru_victims_matches_scalar_policy(self, ops):
-        """kernels.lru_victims row-for-row against LRUPolicy.victim on the
-        same (scalar-maintained) cache state."""
-        scalar = SetAssociativeCache(SMALL_CACHE)
-        array = ArrayCache(SMALL_CACHE)
-        _apply(scalar, ops)
-        _apply(array, ops)
-
-        victims = kernels.lru_victims(array.tag_matrix(),
-                                      array.age_matrix())
-        for set_index in range(SMALL_CACHE.num_sets):
-            expected = scalar.policy.victim(set_index,
-                                            scalar._sets[set_index])
-            assert victims[set_index] == expected, (
-                f"set {set_index}: batch victim {victims[set_index]} "
-                f"vs scalar {expected}")
+        assert batch.cache.occupancy() == scalar.cache.occupancy()
+        assert (batch.cache.resident_prefetches()
+                == scalar.cache.resident_prefetches())

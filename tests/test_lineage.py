@@ -479,8 +479,7 @@ class TestService:
             text = manager.metrics_text()
         finally:
             manager.shutdown(checkpoint=False)
-        for reason in ("explicit_scalar", "non_lru_policy",
-                       "restored_prefetches"):
+        for reason in ("explicit_scalar", "non_lru_policy"):
             assert (f'planaria_engine_fallback_total{{reason="{reason}",'
                     f'session="part"}} 0') in text
 

@@ -6,6 +6,8 @@ from repro.config import CacheConfig, SimConfig
 from repro.errors import SimulationError
 from repro.prefetch.registry import make_prefetcher
 from repro.sim.engine import ChannelSimulator, SystemSimulator
+from repro.sim.metrics import MetricSet
+from repro.trace.buffer import TraceBuffer
 from repro.trace.generator import generate_trace, get_profile
 from repro.trace.record import AccessType, DeviceID, TraceRecord
 
@@ -28,19 +30,34 @@ def write(addr, time):
     return TraceRecord(addr, AccessType.WRITE, DeviceID.CPU, time)
 
 
+def step(sim, record):
+    """Feed ``record`` as a one-record buffer (the warmup window set by
+    ``set_warmup`` applies); returns its latency, or None when warmup
+    suppressed its metrics.  The record's metrics land in a fresh
+    MetricSet, read back, then merge into the simulator's."""
+    metrics = sim.metrics
+    sim.metrics = MetricSet()
+    try:
+        sim.feed(TraceBuffer.from_records([record]))
+        return sim.metrics.all_latency.max
+    finally:
+        metrics.merge(sim.metrics)
+        sim.metrics = metrics
+
+
 class TestChannelSimulator:
     def test_miss_then_hit_latency(self):
         sim = channel_sim()
-        miss_latency = sim.step(read(0x0, 100))
+        miss_latency = step(sim, read(0x0, 100))
         assert miss_latency > sim.config.sc_hit_latency
-        hit_latency = sim.step(read(0x0, miss_latency + 200))
+        hit_latency = step(sim, read(0x0, miss_latency + 200))
         assert hit_latency == sim.config.sc_hit_latency
 
     def test_mshr_merge_latency(self):
         sim = channel_sim()
-        sim.step(read(0x0, 100))
+        step(sim, read(0x0, 100))
         # A second access before the fill completes waits the remainder.
-        merged = sim.step(read(0x0, 110))
+        merged = step(sim, read(0x0, 110))
         assert sim.config.sc_hit_latency < merged
         assert sim.cache.stats.delayed_hits == 1
         # No second DRAM read was issued.
@@ -48,7 +65,7 @@ class TestChannelSimulator:
 
     def test_write_posted_off_critical_path(self):
         sim = channel_sim()
-        latency = sim.step(write(0x40, 100))
+        latency = step(sim, write(0x40, 100))
         assert latency == sim.config.sc_hit_latency
         # The fetch-for-ownership still reached DRAM and the block is dirty.
         assert sim.dram.stats.demand_reads == 1
@@ -58,8 +75,8 @@ class TestChannelSimulator:
         config = SimConfig(cache=CacheConfig(size_bytes=1024, associativity=1))
         sim = channel_sim(config=config)
         sets = config.cache.num_sets
-        sim.step(write(0x0, 100))
-        sim.step(read(sets * 64, 10_000))  # same set, evicts dirty block
+        step(sim, write(0x0, 100))
+        step(sim, read(sets * 64, 10_000))  # same set, evicts dirty block
         assert sim.dram.stats.writebacks == 1
 
     def test_warmup_suppresses_metrics(self):
@@ -69,11 +86,11 @@ class TestChannelSimulator:
         assert sim.metrics.demand_reads == 5
 
     def test_set_warmup_drives_default_step(self):
-        """step() with no explicit record_metrics honours set_warmup."""
+        """One-record feeds honour the window set by set_warmup."""
         sim = channel_sim()
         sim.set_warmup(3)
         for index in range(10):
-            sim.step(read(index * 64, 100 + index * 200))
+            step(sim, read(index * 64, 100 + index * 200))
         assert sim.metrics.demand_reads == 7
 
     def test_set_warmup_records_seen_hint_resumes_window(self):
@@ -83,31 +100,23 @@ class TestChannelSimulator:
         records = [read(index * 64, 100 + index * 200) for index in range(10)]
         sim.set_warmup(5)
         for record in records[:4]:
-            sim.step(record)
+            step(sim, record)
         # Resume: 4 already seen, warmup window of 5 still has 1 to go.
         sim.set_warmup(5, records_seen_hint=4)
         for record in records[4:]:
-            sim.step(record)
+            step(sim, record)
         assert sim.metrics.demand_reads == 5
 
     def test_run_resumes_after_partial_stepping(self):
-        """run() after manual step()s keeps counting from where the
+        """run() after one-record feeds keeps counting from where the
         stream left off instead of restarting the warmup window."""
         sim = channel_sim()
         records = [read(index * 64, 100 + index * 200) for index in range(10)]
         sim.set_warmup(5)
         for record in records[:4]:
-            sim.step(record)
+            step(sim, record)
         sim.run(records[4:], warmup_records=5)
         assert sim.metrics.demand_reads == 5
-
-    def test_explicit_record_metrics_overrides_warmup(self):
-        sim = channel_sim()
-        sim.set_warmup(100)
-        sim.step(read(0, 100), record_metrics=True)
-        assert sim.metrics.demand_reads == 1
-        sim.step(read(64, 300), record_metrics=False)
-        assert sim.metrics.demand_reads == 1
 
     def test_prefetcher_channel_mismatch_rejected(self):
         config = tiny_config()
@@ -119,36 +128,36 @@ class TestChannelSimulator:
         # The engine trusts callers to route; a record for another channel
         # is processed under this channel's cache (SystemSimulator routes).
         sim = channel_sim(channel=0)
-        latency = sim.step(read(0x400, 100))  # maps to channel 1
+        latency = step(sim, read(0x400, 100))  # maps to channel 1
         assert latency > 0
 
 
 class TestPrefetchIntegration:
     def test_nextline_prefetch_fills_cache(self):
         sim = channel_sim("nextline")
-        sim.step(read(0x0, 100))  # miss -> prefetch block 1 of the segment
+        step(sim, read(0x0, 100))  # miss -> prefetch block 1 of the segment
         assert sim.cache.contains(1)
         assert sim.dram.stats.prefetch_reads == 1
 
     def test_prefetch_hit_counts_useful(self):
         sim = channel_sim("nextline")
-        sim.step(read(0x0, 100))
-        sim.step(read(0x40, 5_000))  # block 1 was prefetched
+        step(sim, read(0x0, 100))
+        step(sim, read(0x40, 5_000))  # block 1 was prefetched
         assert sim.cache.stats.prefetch_useful.get("nextline") == 1
 
     def test_duplicate_prefetch_not_refetched(self):
         sim = channel_sim("nextline")
-        sim.step(read(0x0, 100))
+        step(sim, read(0x0, 100))
         before = sim.dram.stats.prefetch_reads
-        sim.step(read(0x80, 5_000))  # miss on block 2: prefetch block 3
-        sim.step(read(0x80, 10_000))
+        step(sim, read(0x80, 5_000))  # miss on block 2: prefetch block 3
+        step(sim, read(0x80, 10_000))
         assert sim.dram.stats.prefetch_reads <= before + 2
 
     def test_prefetch_disabled_by_config(self):
         config = SimConfig(cache=CacheConfig(size_bytes=16 * 1024),
                            prefetch_fill_sc=False)
         sim = channel_sim("nextline", config=config)
-        sim.step(read(0x0, 100))
+        step(sim, read(0x0, 100))
         assert sim.dram.stats.prefetch_reads == 0
         assert not sim.cache.contains(1)
 

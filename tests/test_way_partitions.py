@@ -6,7 +6,8 @@ Three contracts:
   construction (unknown device, bad mask, wrong policy), with the typed
   :class:`UnknownDeviceError` naming the valid :class:`DeviceID` members.
 * Mechanism — a tenant's fills only ever displace blocks inside its way
-  mask, while lookups stay global; identical on both cache backends.
+  mask, while lookups stay global; identical on both engines and their
+  cache backends.
 * Equivalence — shared mode (no partitions) is the pre-existing cache
   bit-for-bit, a full-mask partition is behaviourally identical to no
   partition, and the batch engine runs partitioned configs bit-identically
@@ -22,9 +23,12 @@ from repro.cache.array_state import ArrayCache
 from repro.cache.cache import SetAssociativeCache
 from repro.config import CacheConfig, SimConfig
 from repro.errors import ConfigError, UnknownDeviceError
+from repro.prefetch.registry import make_prefetcher
+from repro.sim.engine import ChannelSimulator
 from repro.sim.runner import simulate
 from repro.tenancy import TenantSpec, default_way_partitions, merge_traces
-from repro.trace.record import DeviceID
+from repro.trace.buffer import TraceBuffer
+from repro.trace.record import AccessType, DeviceID, TraceRecord
 
 CPU = DeviceID.CPU.value
 GPU = DeviceID.GPU.value
@@ -71,17 +75,44 @@ class TestConfigValidation:
         assert CacheConfig().partition_masks() == {}
 
 
+#: The engine whose loop runs on each cache backend.
+ENGINE_FOR = {SetAssociativeCache: "scalar", ArrayCache: "batch"}
+
+
+class _Slice:
+    """One channel simulator on ``cache_cls``, driven one demand read at
+    a time: a read of an absent block misses and fills it on behalf of
+    the reading device.  Reads are 10k cycles apart, so every fill has
+    landed before the next read."""
+
+    def __init__(self, cache_cls, cache_config):
+        config = SimConfig(cache=cache_config)
+        self.sim = ChannelSimulator(
+            0, config, make_prefetcher("none", config.layout, 0),
+            engine_mode=ENGINE_FOR[cache_cls])
+        assert isinstance(self.sim.cache, cache_cls)
+        self.cache = self.sim.cache
+        self.now = 0
+
+    def read(self, block, device):
+        self.now += 10_000
+        self.sim.feed(TraceBuffer.from_records([TraceRecord(
+            block * self.sim.layout.block_size, AccessType.READ,
+            DeviceID(device), self.now)]))
+
+
 @pytest.mark.parametrize("cache_cls", [SetAssociativeCache, ArrayCache])
 class TestPartitionedFills:
     def test_tenant_fills_stay_inside_its_ways(self, cache_cls):
-        cache = cache_cls(_small_config())
+        cache_slice = _Slice(cache_cls, _small_config())
+        cache = cache_slice.cache
         # Blocks 0, 4, 8 all map to set 0 (4 sets).
-        cache.fill(0, now=0, ready_time=0, requester=CPU)
-        cache.fill(4, now=1, ready_time=1, requester=CPU)
+        cache_slice.read(0, CPU)
+        cache_slice.read(4, CPU)
         # CPU owns only way 0: its second fill evicts its own block.
         assert not cache.contains(0)
         assert cache.contains(4)
-        cache.fill(8, now=2, ready_time=2, requester=GPU)
+        cache_slice.read(8, GPU)
         # GPU fills way 1, leaving CPU's block resident.
         assert cache.contains(4)
         assert cache.contains(8)
@@ -89,30 +120,32 @@ class TestPartitionedFills:
     def test_partition_victim_is_lru_within_the_mask(self, cache_cls):
         config = _small_config(size_bytes=4 * 2 * 64, associativity=4,
                                way_partitions=("CPU:0x3", "GPU:0xc"))
-        cache = cache_cls(config)
+        cache_slice = _Slice(cache_cls, config)
+        cache = cache_slice.cache
         # Fill CPU's two ways (set 0: blocks 0, 2, 4...; 2 sets).
-        cache.fill(0, now=0, ready_time=0, requester=CPU)
-        cache.fill(2, now=1, ready_time=1, requester=CPU)
-        cache.access(0, now=2)  # block 0 becomes MRU
-        cache.fill(4, now=3, ready_time=3, requester=CPU)
+        cache_slice.read(0, CPU)
+        cache_slice.read(2, CPU)
+        cache_slice.read(0, CPU)  # block 0 becomes MRU
+        cache_slice.read(4, CPU)
         assert cache.contains(0)       # MRU survived
         assert not cache.contains(2)   # LRU within the partition evicted
         assert cache.contains(4)
 
     def test_lookups_stay_global_across_partitions(self, cache_cls):
-        cache = cache_cls(_small_config())
-        cache.fill(0, now=0, ready_time=0, requester=CPU)
+        cache_slice = _Slice(cache_cls, _small_config())
+        cache_slice.read(0, CPU)
         # GPU hits CPU's resident block: partitions bound fills, not hits.
-        result = cache.access(0, now=1)
-        assert result.hit
+        cache_slice.read(0, GPU)
+        assert cache_slice.cache.stats.demand_hits == 1
+        assert cache_slice.cache.stats.demand_fills == 1
 
     def test_unknown_requester_uses_global_replacement(self, cache_cls):
-        cache = cache_cls(_small_config())
+        cache_slice = _Slice(cache_cls, _small_config())
         # NPU has no partition entry: it may fill anywhere (both ways).
-        cache.fill(0, now=0, ready_time=0, requester=DeviceID.NPU.value)
-        cache.fill(4, now=1, ready_time=1, requester=DeviceID.NPU.value)
-        assert cache.contains(0)
-        assert cache.contains(4)
+        cache_slice.read(0, DeviceID.NPU.value)
+        cache_slice.read(4, DeviceID.NPU.value)
+        assert cache_slice.cache.contains(0)
+        assert cache_slice.cache.contains(4)
 
 
 def _specs():
@@ -188,6 +221,5 @@ class TestEngineEquivalence:
                           engine_mode="scalar").metrics
         assert auto.simulator.engine_mode == "batch"
         assert auto.simulator.fallback_counts() == {
-            "explicit_scalar": 0, "non_lru_policy": 0,
-            "restored_prefetches": 0}
+            "explicit_scalar": 0, "non_lru_policy": 0}
         assert auto.metrics == scalar
