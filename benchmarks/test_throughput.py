@@ -20,7 +20,8 @@ performance baseline future changes are compared against:
     PYTHONPATH=src python -m pytest benchmarks/test_throughput.py -s
 
 Set ``REPRO_BENCH_LENGTH`` / ``REPRO_BENCH_APPS`` to shrink runs (the CI
-smoke step does); the committed baseline uses the defaults below.
+smoke step does); the committed baseline uses the defaults below, and a
+run at another length writes ``BENCH_throughput-<length>.json`` instead.
 """
 
 import json
@@ -36,8 +37,13 @@ from repro.sim.runner import _collect
 from repro.trace.generator import generate_trace_buffer, get_profile
 from repro.utils.provenance import runtime_provenance
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
-LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", 60_000))
+DEFAULT_LENGTH = 60_000
+LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", DEFAULT_LENGTH))
+#: Only a default-length run replaces the committed baseline; a shortened
+#: run writes ``BENCH_throughput-<length>.json`` beside it.
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_throughput.json" if LENGTH == DEFAULT_LENGTH
+    else f"BENCH_throughput-{LENGTH}.json")
 APPS = [app for app in os.environ.get("REPRO_BENCH_APPS", "CFM").split(",")
         if app]
 SEED = 7

@@ -93,6 +93,14 @@ class PlanariaPrefetcher(Prefetcher):
                 and self.tlp.supports_observe_run())
 
     def observe_run(self, page: int, offsets, times) -> None:
+        if len(offsets) == 1:
+            # The batch loop flushes its open run at every miss, so most
+            # runs hold one access: skip the sub-prefetchers' run wrappers.
+            offset = offsets[0]
+            now = times[0]
+            self.slp.observe_fields(page, offset, now)
+            self.tlp.observe_fields(page, offset, now)
+            return
         self.slp.observe_run(page, offsets, times)
         self.tlp.observe_run(page, offsets, times)
 
@@ -108,34 +116,34 @@ class PlanariaPrefetcher(Prefetcher):
                 self.coord_tlp_fallback += 1
             elif not slp_candidates:
                 self.coord_neither += 1
+            self.slp_issues += len(slp_candidates)
+            self.tlp_issues += len(tlp_candidates)
             candidates = slp_candidates + tlp_candidates
-            self._count(candidates)
+            self.issued_candidates += len(candidates)
             return candidates
         # Decoupled (the paper's design) and serial both select one issuer;
         # the selection rule prefers SLP and falls back to TLP only when
-        # SLP has no history information for this page (Section 2).
-        if self.slp.has_pattern(access.page):
-            candidates = self.slp.issue(access, was_hit, prefetched_hit)
+        # SLP has no history information for this page (Section 2).  The
+        # selected issuer produced every candidate, so the per-source
+        # counts are plain length increments.
+        slp = self.slp
+        if access.page in slp._pattern_table:  # slp.has_pattern, inlined
+            candidates = slp.issue(access, was_hit, prefetched_hit)
             if candidates:
                 self.coord_slp_issued += 1
+                self.slp_issues += len(candidates)
+                self.issued_candidates += len(candidates)
             else:
                 self.coord_neither += 1
+            return candidates
+        candidates = self.tlp.issue(access, was_hit, prefetched_hit)
+        if candidates:
+            self.coord_tlp_fallback += 1
+            self.tlp_issues += len(candidates)
+            self.issued_candidates += len(candidates)
         else:
-            candidates = self.tlp.issue(access, was_hit, prefetched_hit)
-            if candidates:
-                self.coord_tlp_fallback += 1
-            else:
-                self.coord_neither += 1
-        self._count(candidates)
+            self.coord_neither += 1
         return candidates
-
-    def _count(self, candidates: List[PrefetchCandidate]) -> None:
-        self.issued_candidates += len(candidates)
-        for candidate in candidates:
-            if candidate.source == self.slp.name:
-                self.slp_issues += 1
-            elif candidate.source == self.tlp.name:
-                self.tlp_issues += 1
 
     # ------------------------------------------------------------------
     def storage_bits(self) -> int:

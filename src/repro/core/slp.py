@@ -70,34 +70,41 @@ class SLPPrefetcher(Prefetcher):
         The batch engine's run folding calls this to avoid materialising a
         :class:`RunAccess` per run; semantics are exactly ``observe``.
         """
-        self._expire_accumulation(now)
+        table = self._accumulation_table
+        # The front entry is the oldest: expiry has work only when it has
+        # timed out, so test it here before paying for the call.
+        if table and (now - next(iter(table.values())).last_time
+                      > self.config.at_timeout):
+            self._expire_accumulation(now)
         bit = 1 << offset
-        self.activity.table_reads += 1
+        activity = self.activity
+        activity.table_reads += 1
 
-        entry = self._accumulation_table.get(page)
+        entry = table.get(page)
         if entry is not None:                                  # step ①: AT hit
             entry.bitmap |= bit
             entry.last_time = now
-            self._accumulation_table.move_to_end(page)
-            self.activity.table_writes += 1
+            table.move_to_end(page)
+            activity.table_writes += 1
             return
 
-        ft_entry = self._filter_table.get(page)
+        filter_table = self._filter_table
+        ft_entry = filter_table.get(page)
         if ft_entry is not None:                               # step ②/③: FT
             ft_entry.bitmap |= bit
             ft_entry.last_time = now
-            self._filter_table.move_to_end(page)
-            self.activity.table_writes += 1
+            filter_table.move_to_end(page)
+            activity.table_writes += 1
             if popcount(ft_entry.bitmap) >= self.config.filter_threshold:
-                del self._filter_table[page]                   # step ③: promote
+                del filter_table[page]                         # step ③: promote
                 self._at_insert(page, ft_entry)
                 self.ft_promotions += 1
             return
 
-        self._filter_table[page] = _AccumulationEntry(bit, now)
-        self.activity.table_writes += 1
-        while len(self._filter_table) > self.config.filter_table_entries:
-            self._filter_table.popitem(last=False)             # drop sparse pages
+        filter_table[page] = _AccumulationEntry(bit, now)
+        activity.table_writes += 1
+        while len(filter_table) > self.config.filter_table_entries:
+            filter_table.popitem(last=False)                   # drop sparse pages
 
     # ------------------------------------------------------------------
     # Batch-engine contract

@@ -13,14 +13,18 @@ entry holds a 16-bit recently-accessed bitmap and 128 1-bit "Ref" fields
 precomputing which other entries are within the neighbour distance, so the
 issuing phase only compares bitmaps against Ref=1 entries.  This class
 models the Ref bits as per-entry neighbour sets maintained at
-allocation/eviction time — bit-for-bit the same reachability, evaluated
-lazily.
+allocation/eviction time — bit-for-bit the same reachability.  Where the
+hardware compares a new page against all 128 entries in parallel, the
+model finds its in-range residents through an index of resident pages
+bucketed by ``page // distance_threshold``: a page's neighbours all sit in
+its own bucket or the two beside it, so allocation costs the page's
+actual neighbourhood rather than the table size.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.config import TLPConfig
 from repro.geometry import AddressLayout
@@ -29,11 +33,14 @@ from repro.utils.bitops import iter_set_bits
 
 
 class _RPTEntry:
-    __slots__ = ("bitmap", "refs")
+    __slots__ = ("bitmap", "refs", "stamp")
 
     def __init__(self) -> None:
         self.bitmap = 0
         self.refs: Set[int] = set()
+        # The owner's access clock at this entry's last observe: ascending
+        # stamps are the RPT's LRU order.
+        self.stamp = 0
 
 
 class TLPPrefetcher(Prefetcher):
@@ -46,6 +53,10 @@ class TLPPrefetcher(Prefetcher):
         super().__init__(layout, channel)
         self.config = config or TLPConfig()
         self._rpt: "OrderedDict[int, _RPTEntry]" = OrderedDict()
+        # Resident pages by ``page // distance_threshold`` (see _allocate).
+        self._buckets: Dict[int, Set[int]] = {}
+        # Demand accesses observed so far; stamps RPT entries.
+        self._clock = 0
         self.transfers = 0
 
     # ------------------------------------------------------------------
@@ -59,13 +70,19 @@ class TLPPrefetcher(Prefetcher):
         accepted for signature uniformity with SLP; TLP never reads the
         clock).  The batch engine's run folding calls this to avoid
         materialising a :class:`RunAccess` per run."""
-        entry = self._rpt.get(page)
-        self.activity.table_reads += 1
+        rpt = self._rpt
+        activity = self.activity
+        entry = rpt.get(page)
+        activity.table_reads += 1
         if entry is None:
-            entry = self._allocate(page)
+            entry = self._allocate(page)  # appended at the LRU tail
+        else:
+            rpt.move_to_end(page)
         entry.bitmap |= 1 << offset
-        self._rpt.move_to_end(page)
-        self.activity.table_writes += 1
+        clock = self._clock + 1
+        self._clock = clock
+        entry.stamp = clock
+        activity.table_writes += 1
 
     # ------------------------------------------------------------------
     # Batch-engine contract
@@ -87,7 +104,9 @@ class TLPPrefetcher(Prefetcher):
         The first access allocates/refreshes the RPT entry through
         :meth:`observe`; every later access of the run would hit the same
         entry (already at the LRU tail), so the remainder collapses to one
-        bitmap OR plus the per-access activity counts.
+        bitmap OR plus the per-access clock and activity counts.  The clock
+        counts accesses, not calls, so a folded run leaves the same stamps
+        as the per-access loop.
         """
         self.observe_fields(page, offsets[0], times[0])
         count = len(offsets)
@@ -96,28 +115,62 @@ class TLPPrefetcher(Prefetcher):
         bits = 0
         for offset in offsets[1:]:
             bits |= 1 << offset
-        self._rpt[page].bitmap |= bits
+        entry = self._rpt[page]
+        entry.bitmap |= bits
+        self._clock += count - 1
+        entry.stamp = self._clock
         self.activity.table_reads += count - 1
         self.activity.table_writes += count - 1
 
     def _allocate(self, page: int) -> _RPTEntry:
-        """Allocate an RPT entry, computing its Ref bits against residents."""
+        """Allocate an RPT entry, computing its Ref bits against residents.
+
+        Every resident within ``distance_threshold`` sits in the page's
+        bucket or one of the two beside it, so only those are probed.  The
+        in-range residents are linked in LRU order (ascending stamp), the
+        order a scan of the whole RPT visits them: every Ref set then sees
+        the same add/discard sequence, hence the same iteration order,
+        which breaks ties in :meth:`_best_neighbour`.
+        """
         entry = _RPTEntry()
         threshold = self.config.distance_threshold
+        rpt = self._rpt
+        buckets = self._buckets
+        key = page // threshold
         low = page - threshold
         high = page + threshold
-        refs_add = entry.refs.add
-        for other_page, other_entry in self._rpt.items():
-            if low <= other_page <= high:
+        near = []
+        for bucket_key in (key - 1, key, key + 1):
+            bucket = buckets.get(bucket_key)
+            if bucket:
+                for other_page in bucket:
+                    if low <= other_page <= high:
+                        other = rpt[other_page]
+                        near.append((other.stamp, other_page, other))
+        if near:
+            # Stamps are distinct, so the sort never compares past them.
+            near.sort()
+            refs_add = entry.refs.add
+            for _, other_page, other in near:
                 refs_add(other_page)
-                other_entry.refs.add(page)
-        self._rpt[page] = entry
-        while len(self._rpt) > self.config.rpt_entries:
-            victim_page, victim = self._rpt.popitem(last=False)
+                other.refs.add(page)
+        rpt[page] = entry
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = {page}
+        else:
+            bucket.add(page)
+        while len(rpt) > self.config.rpt_entries:
+            victim_page, victim = rpt.popitem(last=False)
             for neighbour_page in victim.refs:
-                neighbour = self._rpt.get(neighbour_page)
+                neighbour = rpt.get(neighbour_page)
                 if neighbour is not None:
                     neighbour.refs.discard(victim_page)
+            victim_key = victim_page // threshold
+            bucket = buckets[victim_key]
+            bucket.discard(victim_page)
+            if not bucket:
+                del buckets[victim_key]
         return entry
 
     # ------------------------------------------------------------------
@@ -148,6 +201,9 @@ class TLPPrefetcher(Prefetcher):
         max_transfer = config.max_transfer_bits
         rpt_get = self._rpt.get
         bitmap = entry.bitmap
+        if bitmap.bit_count() < min_common:
+            # No donor can share more set bits than the trigger has.
+            return None, None
         best_page = None
         best_entry = None
         best_difference = None

@@ -27,6 +27,7 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.config import BOPConfig
+from repro.errors import AddressError
 from repro.geometry import AddressLayout
 from repro.prefetch.base import DemandAccess, PrefetchCandidate, Prefetcher
 
@@ -36,10 +37,14 @@ class BestOffsetPrefetcher(Prefetcher):
 
     name = "bop"
 
+    _STATE_EXCLUDE = Prefetcher._STATE_EXCLUDE + ("_blocks_per_segment",)
+
     def __init__(self, layout: AddressLayout, channel: int,
                  config: Optional[BOPConfig] = None) -> None:
         super().__init__(layout, channel)
         self.config = config or BOPConfig()
+        # Read once: the layout property re-derives it on every access.
+        self._blocks_per_segment = layout.blocks_per_segment
         entries = self.config.rr_table_entries
         self._rr_table: List[int] = [-1] * entries
         self._rr_mask = entries - 1 if entries & (entries - 1) == 0 else None
@@ -130,18 +135,17 @@ class BestOffsetPrefetcher(Prefetcher):
         if self._best_offset is None:
             return []
         target = access.channel_block + self._best_offset
-        if (self.config.stay_in_page
-                and target // self.layout.blocks_per_segment != access.page):
-            # Michaud's page-boundary rule: X+D beyond the trigger's page
-            # is not issued (the original cannot translate across pages;
-            # memory-side we keep the rule so the baseline matches the
-            # hardware the paper compares against).
-            return []
-        self.issued_candidates += 1
-        return [PrefetchCandidate(
-            block_addr=self.channel_block_to_block_addr(target),
-            source=self.name,
-        )]
+        page, offset = divmod(target, self._blocks_per_segment)
+        if page != access.page:
+            if self.config.stay_in_page:
+                # Michaud's page-boundary rule: X+D beyond the trigger's
+                # page is not issued (the original cannot translate across
+                # pages; memory-side we keep the rule so the baseline
+                # matches the hardware the paper compares against).
+                return []
+            if page < 0:
+                raise AddressError(f"negative page number {page}")
+        return [self._candidate(page, offset)]
 
     def storage_bits(self) -> int:
         # RR table: 32-bit block addresses; score table: one 6-bit score

@@ -35,8 +35,9 @@ PathLike = Union[str, Path]
 
 #: First bytes of every checkpoint payload; rejects arbitrary pickles.
 CHECKPOINT_MAGIC = "planaria-checkpoint"
-#: Bump on any incompatible change to the state layout.
-CHECKPOINT_VERSION = 1
+#: Bump on any incompatible change to the state layout.  Version 2: TLP
+#: state carries the RPT bucket index and per-entry access stamps.
+CHECKPOINT_VERSION = 2
 
 
 def atomic_write_bytes(path: PathLike, data: bytes) -> Path:

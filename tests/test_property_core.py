@@ -7,8 +7,12 @@ bounded, and neither SLP nor TLP may ever prefetch the block that
 triggered the issue — that block is being demand-fetched already.
 """
 
+from collections import OrderedDict
+
 from hypothesis import given, settings as hsettings, strategies as st
 
+from repro.config import TLPConfig
+from repro.core.tlp import TLPPrefetcher
 from repro.geometry import DEFAULT_LAYOUT
 from repro.prefetch.base import DemandAccess
 from repro.prefetch.registry import make_prefetcher
@@ -116,3 +120,69 @@ class TestNoSelfPrefetch:
                 for page_b in entry.refs:
                     if page_b in rpt:
                         assert page_a in rpt[page_b].refs
+
+
+def reference_rpt_observe(rpt, page, threshold, capacity):
+    """TLP's RPT update as a scan of the whole table: every resident page
+    within ``threshold`` is linked in LRU order.  ``rpt`` maps page ->
+    Ref set, in LRU order.  The reference for TLP's bucket index."""
+    refs = rpt.get(page)
+    if refs is None:
+        refs = set()
+        for other_page, other_refs in rpt.items():
+            if page - threshold <= other_page <= page + threshold:
+                refs.add(other_page)
+                other_refs.add(page)
+        rpt[page] = refs
+        while len(rpt) > capacity:
+            victim_page, victim_refs = rpt.popitem(last=False)
+            for neighbour_page in victim_refs:
+                neighbour = rpt.get(neighbour_page)
+                if neighbour is not None:
+                    neighbour.discard(victim_page)
+    rpt.move_to_end(page)
+
+
+class TestRPTIndexMatchesFullScan:
+    """The bucket index must link exactly the pages a full RPT scan links,
+    in the same order: Ref-set iteration order breaks ties between equally
+    similar donors, and the scalar/batch oracle cannot see a drift here
+    because both engines run the same TLP code."""
+
+    # A small set's iteration order depends on insertion order only when
+    # members collide modulo its 8-slot table, i.e. when neighbours lie
+    # exactly 8 apart, and it takes three residents to show it: both
+    # strategies lean to the largest value.
+    @given(rpt_entries=st.one_of(st.just(8),
+                                 st.integers(min_value=2, max_value=8)),
+           threshold=st.one_of(st.just(8),
+                               st.integers(min_value=1, max_value=8)),
+           runs=st.lists(
+               st.tuples(st.integers(min_value=0, max_value=24),
+                         st.lists(st.integers(min_value=0, max_value=15),
+                                  min_size=1, max_size=3)),
+               min_size=1, max_size=80))
+    @hsettings(max_examples=400, deadline=None)
+    def test_ref_sets_match_full_scan(self, rpt_entries, threshold, runs):
+        config = TLPConfig(rpt_entries=rpt_entries,
+                           distance_threshold=threshold)
+        tlp = TLPPrefetcher(DEFAULT_LAYOUT, 0, config)
+        reference = OrderedDict()
+        accesses = 0
+        for page, offsets in runs:
+            # Multi-access runs go through the batch engine's folded path.
+            tlp.observe_run(page, offsets, list(range(len(offsets))))
+            for _ in offsets:
+                reference_rpt_observe(reference, page, threshold,
+                                      rpt_entries)
+            accesses += len(offsets)
+            rpt = tlp._rpt
+            assert list(rpt) == list(reference)
+            for other_page, entry in rpt.items():
+                assert list(entry.refs) == list(reference[other_page])
+            # Stamps count accesses and ascend in LRU order.
+            assert rpt[page].stamp == accesses
+            stamps = [entry.stamp for entry in rpt.values()]
+            assert stamps == sorted(stamps)
+            assert sorted(p for bucket in tlp._buckets.values()
+                          for p in bucket) == sorted(rpt)

@@ -195,14 +195,18 @@ class TestCheckpointFileFormat:
             load_checkpoint(path)
 
     def test_rejects_future_version(self, tmp_path):
+        # Version 1 predates the TLP stamps and bucket index: a resumed
+        # run would fail mid-way, so the load must refuse it up front.
         simulator = _streaming_simulator("none")
-        checkpoint = Checkpoint(prefetcher="none", workload="w",
-                                config=_config(), records_fed=0,
-                                chunks_fed=0, state=simulator.state_dict(),
-                                version=99)
-        path = save_checkpoint(tmp_path / "future.ckpt", checkpoint)
-        with pytest.raises(CheckpointError, match="version 99"):
-            load_checkpoint(path)
+        for version in (1, 99):
+            checkpoint = Checkpoint(prefetcher="none", workload="w",
+                                    config=_config(), records_fed=0,
+                                    chunks_fed=0,
+                                    state=simulator.state_dict(),
+                                    version=version)
+            path = save_checkpoint(tmp_path / f"v{version}.ckpt", checkpoint)
+            with pytest.raises(CheckpointError, match=f"version {version},"):
+                load_checkpoint(path)
 
     def test_save_is_atomic_no_stray_temp_files(self, tmp_path):
         simulator = _streaming_simulator("none")

@@ -53,6 +53,38 @@ class TestRPT:
         assert tlp.bitmap_of(10) is None
         assert 10 not in tlp._rpt[11].refs
 
+    @pytest.mark.parametrize("page, inside, outside", [
+        (16, [8, 24], [7, 25]),   # first page of its bucket
+        (15, [7, 23], [6, 24]),   # last page of its bucket
+    ])
+    def test_refs_at_exact_threshold_across_buckets(self, page, inside,
+                                                    outside):
+        # distance_threshold 8 buckets pages by page // 8: the pages at
+        # exactly +-8 sit in the neighbouring buckets, one past them do not.
+        tlp = TLPPrefetcher(DEFAULT_LAYOUT, 0, TLPConfig(distance_threshold=8))
+        for other in outside + inside:
+            touch(tlp, other, [1])
+        touch(tlp, page, [1])
+        assert sorted(tlp._rpt[page].refs) == inside
+        for other in inside:
+            assert page in tlp._rpt[other].refs
+        for other in outside:
+            assert page not in tlp._rpt[other].refs
+
+    def test_refs_linked_in_lru_order(self):
+        # Pages 8 and 24 collide in a small set's table, so the Ref set's
+        # iteration order shows which was linked first: the least recently
+        # used (24), as a scan of the RPT in LRU order links them, not the
+        # lower bucket's page.
+        tlp = TLPPrefetcher(DEFAULT_LAYOUT, 0, TLPConfig(distance_threshold=8))
+        touch(tlp, 24, [1])
+        touch(tlp, 8, [1])
+        touch(tlp, 16, [1])
+        expected = set()
+        expected.add(24)
+        expected.add(8)
+        assert list(tlp._rpt[16].refs) == list(expected)
+
     def test_lru_refresh_on_access(self):
         config = TLPConfig(rpt_entries=2)
         tlp = TLPPrefetcher(DEFAULT_LAYOUT, 0, config)
