@@ -7,11 +7,12 @@ Measures end-to-end simulation throughput three ways —
 * obs attached and collecting (epoch timelines + event tracing),
 
 — asserts the correctness contract first (``RunMetrics`` bit-identical
-in all three configurations), then records the penalties to
-``BENCH_obs.json`` at the repo root.  The budget: the detached
-configuration is within measurement noise of plain, and full collection
-costs at most a few percent (one ~60-scalar capture pass per
-``epoch_records``-record boundary, nothing per record).
+in all three configurations), then checks and prints the penalties.
+The budget: the detached configuration is within measurement noise of
+plain, and full collection costs at most a few percent (one ~60-scalar
+capture pass per ``epoch_records``-record boundary, nothing per record).
+The same budgets cover prefetch lineage (gating) and span tracing
+(warnings only).  Throughput figures themselves come from ``perfbench/``.
 
 Timing methodology (shared by every budget in this file): runs are
 clocked with ``time.process_time`` — the budgets bound single-threaded
@@ -27,16 +28,13 @@ while a real regression shows in every round, including the quiet one.
 
     PYTHONPATH=src python -m pytest benchmarks/test_obs_overhead.py -s
 
-Set ``REPRO_BENCH_LENGTH`` to shrink runs (the CI smoke step does); the
-committed numbers use the defaults below.
+Set ``REPRO_BENCH_LENGTH`` to shrink runs (the CI smoke step does).
 """
 
-import json
 import os
 import time
 import warnings
 from dataclasses import asdict
-from pathlib import Path
 
 from repro.config import SimConfig
 from repro.obs import attach_observability, detach_observability
@@ -44,9 +42,7 @@ from repro.prefetch.registry import make_prefetcher
 from repro.sim.engine import SystemSimulator
 from repro.sim.runner import _collect
 from repro.trace.generator import generate_trace_buffer, get_profile
-from repro.utils.provenance import runtime_provenance
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", 60_000))
 APP = "CFM"
 SEED = 7
@@ -133,21 +129,6 @@ def test_obs_overhead_budget():
     config = SimConfig.experiment_scale()
     buffer = generate_trace_buffer(get_profile(APP), LENGTH, seed=SEED,
                                    layout=config.layout)
-    report = {
-        "benchmark": "observability overhead (records / second, plain vs "
-                     "hooks-disabled vs collecting)",
-        "app": APP,
-        "trace_length": LENGTH,
-        "seed": SEED,
-        "epoch_records": EPOCH_RECORDS,
-        "rounds_per_mode": ROUNDS,
-        **runtime_provenance(),
-        "budget": {
-            "max_enabled_penalty": MAX_ENABLED_PENALTY,
-            "disabled_noise_margin": DISABLED_NOISE_MARGIN,
-        },
-        "prefetchers": {},
-    }
     print()
     for name in PREFETCHERS:
         best, round_times = _measure(buffer, name)
@@ -161,16 +142,6 @@ def test_obs_overhead_budget():
         plain_best = len(buffer) / min(best["plain"][0], best["plain2"][0])
         disabled_rps = len(buffer) / best["disabled"][0]
         enabled_rps = len(buffer) / best["enabled"][0]
-        report["prefetchers"][name] = {
-            "plain_rps": round(plain_best),
-            "disabled_rps": round(disabled_rps),
-            "enabled_rps": round(enabled_rps),
-            "measured_noise": round(noise, 4),
-            "disabled_penalty": round(disabled_penalty, 4),
-            "enabled_penalty": round(enabled_penalty, 4),
-            "epochs_collected": epochs,
-            "events_retained": events,
-        }
         print(f"  {APP}/{name}: plain {plain_best:,.0f} rec/s "
               f"(noise ±{noise:.1%}), hooks off {disabled_rps:,.0f} "
               f"({disabled_penalty:+.1%}), collecting {enabled_rps:,.0f} "
@@ -182,9 +153,6 @@ def test_obs_overhead_budget():
             f"{name}: disabled hooks cost {disabled_penalty:.1%}, outside "
             f"the measured noise floor {noise:.1%} "
             f"(+{DISABLED_NOISE_MARGIN:.0%} margin)")
-
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"  wrote {RESULT_PATH}")
 
 
 # ----------------------------------------------------------------------
@@ -231,12 +199,7 @@ def _run_lineage(buffer, prefetcher_name, mode):
 def test_lineage_overhead_budget():
     """Gate: collecting full per-issue lineage costs <= 5% on the scalar
     loop, and the disabled hooks sit inside the noise margin (penalty
-    estimator: module docstring).
-
-    Also records (non-gating) how much throughput a batch-mode caller
-    gives up by enabling lineage, since lineage forces the scalar
-    fallback: ``batch_fallback_ratio`` = collecting rps / plain batch rps.
-    """
+    estimator: module docstring)."""
     config = SimConfig.experiment_scale()
     buffer = generate_trace_buffer(get_profile(APP), LENGTH, seed=SEED,
                                    layout=config.layout)
@@ -254,28 +217,10 @@ def test_lineage_overhead_budget():
     plain_best = len(buffer) / min(best["plain"][0], best["plain2"][0])
     disabled_rps = len(buffer) / best["disabled"][0]
     enabled_rps = len(buffer) / best["enabled"][0]
-
-    # Informational: what batch-mode callers pay for the scalar fallback.
-    batch_best = None
-    for _ in range(LINEAGE_ROUNDS):
-        simulator = SystemSimulator(
-            config,
-            lambda layout, channel: make_prefetcher("planaria", layout,
-                                                    channel),
-            engine_mode="batch")
-        start = time.process_time()
-        simulator.run(buffer)
-        elapsed = time.process_time() - start
-        if batch_best is None or elapsed < batch_best:
-            batch_best = elapsed
-    batch_rps = len(buffer) / batch_best
-    fallback_ratio = enabled_rps / batch_rps
-
     print(f"\n  {APP}/planaria scalar: plain {plain_best:,.0f} rec/s "
           f"(noise ±{noise:.1%}), hooks off {disabled_rps:,.0f} "
           f"({disabled_penalty:+.1%}), lineage {enabled_rps:,.0f} "
-          f"({enabled_penalty:+.1%}), {issued} issues tracked; "
-          f"batch plain {batch_rps:,.0f} (fallback x{fallback_ratio:.2f})")
+          f"({enabled_penalty:+.1%}), {issued} issues tracked")
     assert enabled_penalty <= LINEAGE_MAX_ENABLED_PENALTY + noise, (
         f"lineage collecting cost {enabled_penalty:.1%} "
         f"(budget {LINEAGE_MAX_ENABLED_PENALTY:.0%} + noise {noise:.1%})")
@@ -283,28 +228,6 @@ def test_lineage_overhead_budget():
         f"lineage disabled hooks cost {disabled_penalty:.1%}, outside "
         f"the measured noise floor {noise:.1%} "
         f"(+{LINEAGE_NOISE_MARGIN:.0%} margin)")
-
-    report = (json.loads(RESULT_PATH.read_text())
-              if RESULT_PATH.exists() else {})
-    report["lineage"] = {
-        "mode": "scalar loop, planaria, full per-issue provenance",
-        "gating": True,
-        "budget": {
-            "max_enabled_penalty": LINEAGE_MAX_ENABLED_PENALTY,
-            "disabled_noise_margin": LINEAGE_NOISE_MARGIN,
-        },
-        "plain_rps": round(plain_best),
-        "disabled_rps": round(disabled_rps),
-        "enabled_rps": round(enabled_rps),
-        "measured_noise": round(noise, 4),
-        "disabled_penalty": round(disabled_penalty, 4),
-        "enabled_penalty": round(enabled_penalty, 4),
-        "issues_tracked": issued,
-        "batch_plain_rps": round(batch_rps),
-        "batch_fallback_ratio": round(fallback_ratio, 4),
-    }
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"  wrote {RESULT_PATH} (lineage section)")
 
 
 # ----------------------------------------------------------------------
@@ -345,12 +268,12 @@ def _run_streaming(buffer, prefetcher_name, mode):
 
 
 def test_span_tracing_overhead_report():
-    """Record span-tracing cost next to the obs numbers (non-gating).
+    """Check span-tracing cost next to the obs numbers (non-gating).
 
     Hard assertion: ``RunMetrics`` bit-identical with tracing off/on.
     Budget breaches (disabled outside the measured noise floor, enabled
-    beyond :data:`SPAN_MAX_ENABLED_PENALTY`) raise warnings and land in
-    ``BENCH_obs.json`` for trend review, but do not fail the build.
+    beyond :data:`SPAN_MAX_ENABLED_PENALTY`) raise warnings but do not
+    fail the build.
     """
     config = SimConfig.experiment_scale()
     buffer = generate_trace_buffer(get_profile(APP), LENGTH, seed=SEED,
@@ -380,25 +303,3 @@ def test_span_tracing_overhead_report():
             f"span tracing enabled penalty {enabled_penalty:.1%} exceeds "
             f"the {SPAN_MAX_ENABLED_PENALTY:.0%} budget (+ noise "
             f"{noise:.1%})")
-
-    # Read-modify-write: ride in BENCH_obs.json without clobbering the
-    # obs section when only this test ran.
-    report = (json.loads(RESULT_PATH.read_text())
-              if RESULT_PATH.exists() else {})
-    report["span_tracing"] = {
-        "mode": f"streaming feed, {SPAN_CHUNK}-record chunks",
-        "gating": False,
-        "budget": {
-            "max_enabled_penalty": SPAN_MAX_ENABLED_PENALTY,
-            "disabled_noise_margin": SPAN_DISABLED_NOISE_MARGIN,
-        },
-        "plain_rps": round(plain_best),
-        "disabled_rps": round(disabled_rps),
-        "enabled_rps": round(enabled_rps),
-        "measured_noise": round(noise, 4),
-        "disabled_penalty": round(disabled_penalty, 4),
-        "enabled_penalty": round(enabled_penalty, 4),
-        "spans_recorded": recorded,
-    }
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"  wrote {RESULT_PATH} (span_tracing section)")

@@ -8,15 +8,12 @@ session's stream stays in order — while
 periodically sampling the server's health verdict, session-manager
 counters (backpressure waits included) and per-op span latency
 percentiles over the same connection.  The resulting time-series is
-appended as a ``"soak"`` section to ``BENCH_service.json``, preserving
-whatever other sections (single-process, ``sharded``) already live
-there.
+written whole to its own JSON file (``campaign-soak.json`` by default).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 import time
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -72,12 +69,13 @@ def _sample(client: ServiceClient, elapsed: float,
 
 def run_soak(spec: CampaignSpec, endpoint: str,
              duration_seconds: Optional[float] = None,
-             output: PathLike = "BENCH_service.json",
+             output: PathLike = "campaign-soak.json",
              config: Optional[SimConfig] = None,
              progress: Optional[Callable[[str], None]] = None) -> dict:
     """Replay the soak workload against ``endpoint`` and record the series.
 
-    Returns the ``"soak"`` section that was appended to ``output``.
+    Returns the time-series section, which is also written to ``output``
+    (replacing any previous file there).
     ``duration_seconds`` overrides the spec's soak duration (handy for
     CI smokes).  Sampling happens inline between feed chunks — the
     client socket is not shared across threads — so the sample cadence
@@ -156,21 +154,5 @@ def run_soak(spec: CampaignSpec, endpoint: str,
         "samples": samples,
         **runtime_provenance(),
     }
-    _append_soak_section(Path(output), section)
+    Path(output).write_text(json.dumps(section, indent=2) + "\n")
     return section
-
-
-def _append_soak_section(output: Path, section: dict) -> None:
-    """Merge ``section`` into ``output`` as ``"soak"``, keeping the rest."""
-    merged = {}
-    if output.exists():
-        try:
-            previous = json.loads(output.read_text())
-        except (ValueError, OSError) as exc:
-            print(f"warning: {output} unreadable ({exc}); starting fresh",
-                  file=sys.stderr)
-            previous = {}
-        if isinstance(previous, dict):
-            merged = previous
-    merged["soak"] = section
-    output.write_text(json.dumps(merged, indent=2) + "\n")

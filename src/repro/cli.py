@@ -18,7 +18,6 @@ Commands
   live lineage-enabled session (docs/observability.md).
 * ``watch``      — poll a live service session's timeline.
 * ``serve``      — run the streaming simulation service (docs/service.md).
-* ``bench-serve``— benchmark the service path, writing BENCH_service.json.
 * ``multitenant``— merged multi-tenant contention study: shared vs
   way-partitioned SC, per-tenant QoS deltas vs solo baselines, writing
   BENCH_multitenant.json (docs/multitenant.md).
@@ -403,7 +402,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             max_inflight_chunks=args.max_inflight,
             workers=args.worker_threads,
-            parallelism=args.parallelism,
             checkpoint_interval=args.checkpoint_interval,
             metrics_port=args.metrics_port,
             tracing=args.trace,
@@ -418,7 +416,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         max_inflight_chunks=args.max_inflight,
         worker_threads=args.worker_threads,
-        parallelism=args.parallelism,
         checkpoint_interval=args.checkpoint_interval,
         metrics_port=args.metrics_port,
         tracing=args.trace,
@@ -445,62 +442,6 @@ def _cmd_spans(args: argparse.Namespace) -> int:
             print(f"{name:<24} {entry['count']:>8.0f} "
                   f"{entry['mean_us']:>10.1f} {entry['p50_us']:>8.0f} "
                   f"{entry['p95_us']:>8.0f} {entry['p99_us']:>8.0f}")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.service.bench import run_service_bench, run_sharded_bench
-
-    if args.workers is not None or args.workers_sweep:
-        if args.workers_sweep:
-            sweep = [int(n) for n in args.workers_sweep.split(",")]
-        else:
-            sweep = [int(args.workers)]
-        section = run_sharded_bench(
-            workers_sweep=sweep, sessions=args.sessions, length=args.length,
-            seed=args.seed, app=args.app, chunk_records=args.chunk_records,
-            max_inflight_chunks=args.max_inflight,
-            worker_threads=args.worker_threads,
-            output=Path(args.output) if args.output else None,
-        )
-        for point in section["sweep"]:
-            print(f"workers={point['workers']}: "
-                  f"{section['sessions']} sessions x "
-                  f"{section['trace_length']} records in "
-                  f"{point['elapsed_seconds']}s -> "
-                  f"{point['aggregate_records_per_second']:,} rec/s "
-                  f"({point['migrations']} migrations)")
-        speedups = section["speedup_vs_one_worker"]
-        print(f"speedup vs one worker: "
-              + ", ".join(f"{workers}w={speedups[workers]}x"
-                          for workers in sorted(speedups, key=int)))
-        if "written_to" in section:
-            print(f"wrote sharded section to {section['written_to']}")
-        return 0
-
-    report = run_service_bench(
-        sessions=args.sessions, length=args.length, seed=args.seed,
-        app=args.app, chunk_records=args.chunk_records,
-        max_inflight_chunks=args.max_inflight, workers=args.worker_threads,
-        output=Path(args.output) if args.output else None,
-        tracing=not args.no_trace,
-        spans_out=Path(args.spans_out) if args.spans_out else None,
-    )
-    print(f"{report['sessions']} sessions x {report['trace_length']} records "
-          f"in {report['elapsed_seconds']}s: "
-          f"{report['aggregate_records_per_second']:,} rec/s aggregate, "
-          f"{report['backpressure_waits']} backpressure waits")
-    if "feed_latency_us" in report:
-        feed = report["feed_latency_us"]
-        print(f"per-chunk feed latency (us): p50 {feed['p50']:.0f}, "
-              f"p95 {feed['p95']:.0f}, p99 {feed['p99']:.0f} "
-              f"over {feed['chunks']} chunks")
-    if "spans_written_to" in report:
-        print(f"wrote spans to {report['spans_written_to']}")
-    if "written_to" in report:
-        print(f"wrote {report['written_to']}")
     return 0
 
 
@@ -811,8 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--log-json", action="store_true",
                        help="structured one-JSON-object-per-line logging, "
                             "rate-limited")
-    _add_parallelism_argument(serve)
-    serve.set_defaults(handler=_cmd_serve, parallelism="serial")
+    serve.set_defaults(handler=_cmd_serve)
 
     spans = commands.add_parser(
         "spans", help="dump a tracing server's spans as Chrome trace JSON")
@@ -823,35 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     spans.add_argument("--clear", action="store_true",
                        help="drain the server's span ring after reading")
     spans.set_defaults(handler=_cmd_spans)
-
-    bench_serve = commands.add_parser(
-        "bench-serve", help="benchmark the service path end to end")
-    bench_serve.add_argument("--sessions", type=int, default=8)
-    bench_serve.add_argument("--length", type=int, default=20_000)
-    bench_serve.add_argument("--seed", type=int, default=7)
-    bench_serve.add_argument("--app", default="CFM", choices=list_workloads())
-    bench_serve.add_argument("--chunk-records", type=int, default=1024)
-    bench_serve.add_argument("--max-inflight", type=int, default=2)
-    bench_serve.add_argument("--workers", type=int, default=None,
-                             metavar="N",
-                             help="benchmark the sharded service with N "
-                                  "engine worker processes (default: "
-                                  "single-process benchmark)")
-    bench_serve.add_argument("--workers-sweep", metavar="N,N,...",
-                             help="sweep the sharded service over these "
-                                  "worker counts, e.g. 1,2,4,8")
-    bench_serve.add_argument("--worker-threads", type=int, default=4,
-                             help="session thread-pool size (per engine "
-                                  "worker when sharded)")
-    bench_serve.add_argument("--output", default="BENCH_service.json",
-                             metavar="FILE", help="report path ('' skips)")
-    bench_serve.add_argument("--no-trace", action="store_true",
-                             help="disable request tracing (drops the "
-                                  "feed-latency percentiles)")
-    bench_serve.add_argument("--spans-out", metavar="FILE",
-                             help="also dump recorded spans as Chrome "
-                                  "trace-event JSON")
-    bench_serve.set_defaults(handler=_cmd_bench_serve)
 
     multitenant = commands.add_parser(
         "multitenant",
@@ -906,16 +817,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_soak = campaign_ops.add_parser(
         "soak", help="sustained-rate replay against one endpoint, "
-                     "appending a time-series to BENCH_service.json")
+                     "writing a time-series to campaign-soak.json")
     campaign_soak.add_argument("spec", help="campaign YAML path")
     campaign_soak.add_argument("endpoint", metavar="HOST:PORT",
                                help="service endpoint to soak")
     campaign_soak.add_argument("--duration", type=float, default=None,
                                metavar="SECONDS",
                                help="override the spec's soak duration")
-    campaign_soak.add_argument("--output", default="BENCH_service.json",
+    campaign_soak.add_argument("--output", default="campaign-soak.json",
                                metavar="FILE",
-                               help="report to append the 'soak' section to")
+                               help="time-series report path")
     campaign_soak.set_defaults(handler=_cmd_campaign_soak)
     return parser
 

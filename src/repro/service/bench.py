@@ -1,49 +1,21 @@
-"""Service throughput benchmark: ``python -m repro bench-serve``.
+"""In-process server and cluster harnesses for tests and benchmarks.
 
-Starts an in-process :class:`~repro.service.server.SimulationServer` on an
-ephemeral port, drives many concurrent client sessions through the full
-TCP path (open → chunked feed → snapshot → close), and writes the results
-to ``BENCH_service.json`` at the repo root.
-
-The benchmark is also a correctness gate, enforcing the two service
-guarantees before recording any numbers:
-
-* every session's final metrics are bit-identical to an offline
-  :func:`~repro.sim.runner.simulate` of the same trace, and
-* backpressure actually engaged (``backpressure_waits > 0``) — the
-  deliberately small ``max_inflight_chunks`` plus more client threads
-  than pool workers guarantees saturation.
+:class:`_ServerThread` runs a :class:`~repro.service.server.SimulationServer`
+on its own event-loop thread; :class:`ClusterThread` does the same for a
+:class:`~repro.service.cluster.ClusterRouter` and its spawned engine
+worker processes.  Both bind ephemeral ports, expose them as ``.port`` /
+``.metrics_port`` and drain the service on ``__exit__``.  Rates for the
+served path come from ``perfbench/`` (workload ``served-stream``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import sys
 import threading
-import time
-from dataclasses import asdict
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional
 
-from repro.config import SimConfig
 from repro.errors import ServiceError
-from repro.service.client import ServiceClient
 from repro.service.server import SimulationServer
 from repro.service.session import SessionManager
-from repro.sim.engine import channel_warmup_counts
-from repro.sim.metrics import RunMetrics
-from repro.sim.runner import simulate
-from repro.trace.buffer import TraceBuffer
-from repro.trace.generator import generate_trace_buffer, get_profile
-from repro.utils.provenance import degraded_scaling, runtime_provenance
-
-DEFAULT_RESULT_PATH = Path(__file__).resolve().parents[3] / "BENCH_service.json"
-#: Prefetchers cycled across sessions (2 sessions each at the default 8).
-BENCH_PREFETCHERS = ("none", "stride", "bop", "planaria")
-#: Worker-process counts swept by the sharded benchmark.
-DEFAULT_WORKERS_SWEEP = (1, 2, 4, 8)
 
 
 class _ServerThread:
@@ -56,7 +28,7 @@ class _ServerThread:
         self._loop = asyncio.new_event_loop()
         self._started = threading.Event()
         self._thread = threading.Thread(target=self._run,
-                                        name="repro-bench-server",
+                                        name="repro-server",
                                         daemon=True)
 
     def _run(self) -> None:
@@ -68,7 +40,7 @@ class _ServerThread:
     def __enter__(self) -> "_ServerThread":
         self._thread.start()
         if not self._started.wait(timeout=10):
-            raise ServiceError("benchmark server failed to start")
+            raise ServiceError("in-process server failed to start")
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -90,171 +62,12 @@ class _ServerThread:
         return self.server.metrics_port
 
 
-def _drive_session(port: int, name: str, prefetcher: str,
-                   buffer: TraceBuffer, config: SimConfig,
-                   warmup: List[int], chunk_records: int,
-                   out: Dict[str, RunMetrics],
-                   errors: Dict[str, BaseException]) -> None:
-    try:
-        with ServiceClient.connect(port=port) as client:
-            client.open(name, prefetcher, workload="bench", config=config,
-                        warmup_records=warmup)
-            client.feed_trace(name, buffer, chunk_records=chunk_records)
-            out[name] = client.close_session(name).metrics
-    except BaseException as exc:  # re-raised on the main thread
-        errors[name] = exc
-
-
-def run_service_bench(sessions: int = 8, length: int = 20_000, seed: int = 7,
-                      app: str = "CFM", chunk_records: int = 1024,
-                      max_inflight_chunks: int = 2, workers: int = 4,
-                      output: Optional[Path] = DEFAULT_RESULT_PATH,
-                      tracing: bool = True,
-                      spans_out: Optional[Path] = None) -> dict:
-    """Run the benchmark; returns (and optionally writes) the report.
-
-    With ``tracing`` (the default) the manager records request spans, so
-    the report carries p50/p95/p99 per-chunk feed latency next to the
-    throughput number — the tail the aggregate records/s hides.  The
-    bit-identity gate below then also covers the tracing-on path:
-    every session must still match the untraced offline run exactly.
-    ``spans_out`` additionally dumps the retained spans as Chrome
-    trace-event JSON (Perfetto-viewable).
-    """
-    config = SimConfig.experiment_scale()
-    buffer = generate_trace_buffer(get_profile(app), length, seed=seed,
-                                   layout=config.layout)
-    warmup = channel_warmup_counts(buffer, config)
-    plan = [(f"bench-{i:02d}", BENCH_PREFETCHERS[i % len(BENCH_PREFETCHERS)])
-            for i in range(sessions)]
-
-    offline: Dict[str, RunMetrics] = {}
-    for prefetcher in sorted({p for _, p in plan}):
-        offline[prefetcher] = simulate(
-            buffer, prefetcher, workload_name="bench", config=config).metrics
-
-    manager = SessionManager(max_inflight_chunks=max_inflight_chunks,
-                             workers=workers, default_config=config,
-                             tracing=tracing)
-    results: Dict[str, RunMetrics] = {}
-    errors: Dict[str, BaseException] = {}
-    with _ServerThread(manager) as running:
-        threads = [
-            threading.Thread(
-                target=_drive_session,
-                args=(running.port, name, prefetcher, buffer, config,
-                      warmup, chunk_records, results, errors),
-                name=f"repro-bench-{name}")
-            for name, prefetcher in plan
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-    if errors:
-        name, first = sorted(errors.items())[0]
-        raise ServiceError(f"session {name!r} failed: {first}") from first
-    stats = manager.stats()
-    span_summary = manager.span_summary() if tracing else {}
-    health = manager.health_report() if tracing else None
-    if spans_out is not None:
-        from repro.obs.trace_spans import write_chrome_trace
-
-        write_chrome_trace(spans_out, manager.spans.spans(),
-                           process_name="repro-bench-serve")
-    manager.shutdown(checkpoint=False)
-
-    mismatched = [
-        name for name, prefetcher in plan
-        if results.get(name) != offline[prefetcher]
-    ]
-    if mismatched:
-        raise ServiceError(
-            f"service metrics diverged from offline simulate() for "
-            f"sessions {mismatched}")
-    if stats["backpressure_waits"] == 0:
-        raise ServiceError(
-            "backpressure never engaged — the benchmark did not exercise "
-            "the in-flight chunk bound")
-
-    total_records = length * sessions
-    report = {
-        "benchmark": "streaming service throughput (records / second "
-                     "across concurrent TCP sessions)",
-        "app": app,
-        "trace_length": length,
-        "seed": seed,
-        "sessions": sessions,
-        "chunk_records": chunk_records,
-        "max_inflight_chunks": max_inflight_chunks,
-        "workers": workers,
-        **runtime_provenance(),
-        "prefetchers": {name: prefetcher for name, prefetcher in plan},
-        "elapsed_seconds": round(elapsed, 3),
-        "aggregate_records_per_second": round(total_records / elapsed),
-        "per_session_records_per_second": round(
-            total_records / elapsed / sessions),
-        "backpressure_waits": stats["backpressure_waits"],
-        "chunks_executed": stats["chunks_executed"],
-        "tracing": tracing,
-        "equivalence": {
-            "checked_sessions": len(plan),
-            "bit_identical_to_offline_simulate": True,
-            "traced_run": tracing,
-        },
-        "sample_metrics": {
-            prefetcher: asdict(metrics)
-            for prefetcher, metrics in offline.items()
-        },
-    }
-    if tracing:
-        feed = span_summary.get("session.feed_chunk", {})
-        report["feed_latency_us"] = {
-            "chunks": int(feed.get("count", 0)),
-            "mean": round(feed.get("mean_us", 0.0), 1),
-            "p50": feed.get("p50_us", 0.0),
-            "p95": feed.get("p95_us", 0.0),
-            "p99": feed.get("p99_us", 0.0),
-            "max": round(feed.get("max_us", 0.0), 1),
-        }
-        report["span_summary"] = {
-            name: {key: round(value, 1) for key, value in entry.items()}
-            for name, entry in span_summary.items()
-        }
-        if health is not None:
-            report["health"] = health.to_dict()
-    if spans_out is not None:
-        report["spans_written_to"] = str(spans_out)
-    if output is not None:
-        _write_report(output, report)
-        report["written_to"] = str(output)
-    return report
-
-
-def _write_report(output: Path, report: dict) -> None:
-    """Write the single-process report, keeping any ``sharded`` section."""
-    merged = dict(report)
-    if output.exists():
-        try:
-            previous = json.loads(output.read_text())
-        except (ValueError, OSError):
-            previous = {}
-        if isinstance(previous, dict) and "sharded" in previous:
-            merged["sharded"] = previous["sharded"]
-    output.write_text(json.dumps(merged, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
-# Sharded (multi-process) benchmark
-# ----------------------------------------------------------------------
 class ClusterThread:
     """An in-process cluster router on its own event-loop thread.
 
     The router's engine workers are real spawned processes; only the
     router's asyncio front-end runs on this thread.  Mirrors
-    :class:`_ServerThread` so tests and the benchmark share one harness.
+    :class:`_ServerThread`.
     """
 
     def __init__(self, workers: int, max_inflight_chunks: int = 2,
@@ -317,183 +130,3 @@ class ClusterThread:
     @property
     def metrics_port(self) -> "int | None":
         return self.router.metrics_port
-
-
-def _drive_migrated_session(port: int, name: str, prefetcher: str,
-                            buffer: TraceBuffer, config: SimConfig,
-                            warmup: List[int], chunk_records: int,
-                            out: Dict[str, RunMetrics],
-                            errors: Dict[str, BaseException],
-                            migrations_done: List[int]) -> None:
-    """Feed a session while migrating it twice between chunks.
-
-    The migration points (1/3 and 2/3 through the trace) land between
-    ``feed`` calls on the same connection — the router's route lock
-    serialises the checkpoint hand-off against in-flight feeds, so the
-    restored engine must replay into exactly the offline metrics.
-    """
-    try:
-        with ServiceClient.connect(port=port) as client:
-            client.open(name, prefetcher, workload="bench", config=config,
-                        warmup_records=warmup)
-            marks = {len(buffer) // 3, 2 * len(buffer) // 3}
-            for start in range(0, len(buffer), chunk_records):
-                if any(start <= mark < start + chunk_records
-                       for mark in marks):
-                    result = client.migrate(name)
-                    if result.get("migrated"):
-                        migrations_done.append(int(result["worker"]))
-                client.feed(name, buffer[start:start + chunk_records])
-            out[name] = client.close_session(name).metrics
-    except BaseException as exc:  # re-raised on the main thread
-        errors[name] = exc
-
-
-def run_sharded_bench(workers_sweep: Iterable[int] = DEFAULT_WORKERS_SWEEP,
-                      sessions: int = 8, length: int = 20_000, seed: int = 7,
-                      app: str = "CFM", chunk_records: int = 1024,
-                      max_inflight_chunks: int = 2, worker_threads: int = 4,
-                      output: Optional[Path] = DEFAULT_RESULT_PATH) -> dict:
-    """Sweep the sharded service over worker-process counts.
-
-    For each point the full client path runs against a router + worker
-    fleet; with two or more workers, one session is live-migrated twice
-    mid-feed.  Every session — migrated ones included — must close
-    bit-identical to offline :func:`~repro.sim.runner.simulate` before a
-    number is recorded.  Results land in the ``sharded`` section of
-    ``BENCH_service.json``; the committed single-process baseline at the
-    top level is left untouched.
-    """
-    sweep = sorted({int(workers) for workers in workers_sweep})
-    if not sweep or sweep[0] < 1:
-        raise ServiceError(f"invalid workers sweep {list(workers_sweep)}")
-    config = SimConfig.experiment_scale()
-    buffer = generate_trace_buffer(get_profile(app), length, seed=seed,
-                                   layout=config.layout)
-    warmup = channel_warmup_counts(buffer, config)
-    plan = [(f"shard-{i:02d}", BENCH_PREFETCHERS[i % len(BENCH_PREFETCHERS)])
-            for i in range(sessions)]
-    offline: Dict[str, RunMetrics] = {}
-    for prefetcher in sorted({p for _, p in plan}):
-        offline[prefetcher] = simulate(
-            buffer, prefetcher, workload_name="bench", config=config).metrics
-
-    total_records = length * sessions
-    points: List[dict] = []
-    migrated_checked = 0
-    for workers in sweep:
-        results: Dict[str, RunMetrics] = {}
-        errors: Dict[str, BaseException] = {}
-        migrations_done: List[int] = []
-        with ClusterThread(workers, max_inflight_chunks=max_inflight_chunks,
-                           worker_threads=worker_threads) as running:
-            threads = []
-            for index, (name, prefetcher) in enumerate(plan):
-                if index == 0 and workers >= 2:
-                    # One session per point rides through two live
-                    # checkpoint migrations while being fed.
-                    target, args = _drive_migrated_session, (
-                        running.port, name, prefetcher, buffer, config,
-                        warmup, chunk_records, results, errors,
-                        migrations_done)
-                else:
-                    target, args = _drive_session, (
-                        running.port, name, prefetcher, buffer, config,
-                        warmup, chunk_records, results, errors)
-                threads.append(threading.Thread(
-                    target=target, args=args, name=f"repro-bench-{name}"))
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - start
-            with ServiceClient.connect(port=running.port) as control:
-                stats = control.stats()
-                topology = control.cluster()
-        if errors:
-            name, first = sorted(errors.items())[0]
-            raise ServiceError(
-                f"sharded session {name!r} failed at workers={workers}: "
-                f"{first}") from first
-        mismatched = [name for name, prefetcher in plan
-                      if results.get(name) != offline[prefetcher]]
-        if mismatched:
-            raise ServiceError(
-                f"sharded service metrics diverged from offline simulate() "
-                f"at workers={workers} for sessions {mismatched}")
-        if workers >= 2:
-            if len(migrations_done) != 2:
-                raise ServiceError(
-                    f"expected 2 live migrations at workers={workers}, "
-                    f"got {len(migrations_done)}")
-            migrated_checked += 1
-        per_worker = {
-            worker_id: {
-                "chunks_executed": entry.get("chunks_executed", 0),
-                "records_executed": entry.get("records_executed", 0),
-                "sessions_opened": entry.get("sessions_opened", 0),
-                "sessions_resumed": entry.get("sessions_resumed", 0),
-            }
-            for worker_id, entry in sorted(stats["workers"].items())
-        }
-        points.append({
-            "workers": workers,
-            "elapsed_seconds": round(elapsed, 3),
-            "aggregate_records_per_second": round(total_records / elapsed),
-            "migrations": stats["stats"]["migrations"],
-            "migrated_session_workers": migrations_done,
-            "sessions_resumed": stats["stats"]["sessions_resumed"],
-            "per_worker": per_worker,
-            "router": topology["router"],
-        })
-
-    base = points[0]["aggregate_records_per_second"]
-    section = {
-        "benchmark": "sharded service throughput (router + N engine "
-                     "worker processes, checkpoint-based migration)",
-        "app": app,
-        "trace_length": length,
-        "seed": seed,
-        "sessions": sessions,
-        "chunk_records": chunk_records,
-        "max_inflight_chunks": max_inflight_chunks,
-        "worker_threads": worker_threads,
-        **runtime_provenance(),
-        "sweep": points,
-        "speedup_vs_one_worker": {
-            str(point["workers"]): round(
-                point["aggregate_records_per_second"] / base, 2)
-            for point in points
-        },
-        "equivalence": {
-            "checked_sessions_per_point": len(plan),
-            "bit_identical_to_offline_simulate": True,
-            "points_with_live_migrated_session": migrated_checked,
-        },
-    }
-    cores = os.cpu_count() or 1
-    warning = degraded_scaling(cores, max(sweep))
-    if warning is not None:
-        # Stamp the report so downstream consumers can filter these
-        # points out of scaling curves, and say so out loud: a sweep on
-        # fewer cores than workers measures sharding overhead, not
-        # scaling.
-        section["degraded_provenance"] = True
-        section["note"] = (
-            f"{warning} — run on >= {max(sweep)} cores for the speedup "
-            f"curve (docs/service.md)")
-        print(f"warning: {section['note']}", file=sys.stderr)
-    if output is not None:
-        existing: dict = {}
-        if output.exists():
-            try:
-                existing = json.loads(output.read_text())
-            except (ValueError, OSError):
-                existing = {}
-        if not isinstance(existing, dict):
-            existing = {}
-        existing["sharded"] = section
-        output.write_text(json.dumps(existing, indent=2) + "\n")
-        section["written_to"] = str(output)
-    return section

@@ -153,7 +153,6 @@ def _worker_entry(spec: dict) -> None:
         checkpoint_dir=spec["checkpoint_dir"],
         max_inflight_chunks=spec["max_inflight_chunks"],
         workers=spec["worker_threads"],
-        parallelism=spec["parallelism"],
         checkpoint_interval=spec["checkpoint_interval"],
         tracing=spec["tracing"],
         log_json=spec["log_json"],
@@ -353,7 +352,6 @@ class ClusterRouter:
                  checkpoint_dir: Optional[str] = None,
                  max_inflight_chunks: int = 4,
                  worker_threads: int = 4,
-                 parallelism: str = "serial",
                  checkpoint_interval: int = 0,
                  tracing: bool = False,
                  log_json: bool = False,
@@ -368,7 +366,6 @@ class ClusterRouter:
         self.checkpoint_dir = checkpoint_dir
         self.max_inflight_chunks = max_inflight_chunks
         self.worker_threads = worker_threads
-        self.parallelism = parallelism
         self.checkpoint_interval = checkpoint_interval
         self.tracing = tracing
         self.log_json = log_json
@@ -506,7 +503,6 @@ class ClusterRouter:
             "checkpoint_dir": self.checkpoint_dir,
             "max_inflight_chunks": self.max_inflight_chunks,
             "worker_threads": self.worker_threads,
-            "parallelism": self.parallelism,
             "checkpoint_interval": self.checkpoint_interval,
             "tracing": self.tracing,
             "log_json": self.log_json,
@@ -1079,7 +1075,6 @@ def run_cluster(workers: int = 2, host: str = "127.0.0.1", port: int = 8642,
                 checkpoint_dir: Optional[str] = None,
                 max_inflight_chunks: int = 4,
                 worker_threads: int = 4,
-                parallelism: str = "serial",
                 checkpoint_interval: int = 0,
                 metrics_port: Optional[int] = None,
                 tracing: bool = False,
@@ -1101,7 +1096,7 @@ def run_cluster(workers: int = 2, host: str = "127.0.0.1", port: int = 8642,
         workers=workers, host=host, port=port, metrics_port=metrics_port,
         checkpoint_dir=checkpoint_dir,
         max_inflight_chunks=max_inflight_chunks,
-        worker_threads=worker_threads, parallelism=parallelism,
+        worker_threads=worker_threads,
         checkpoint_interval=checkpoint_interval, tracing=tracing,
         log_json=log_json, health_config=health_config)
     try:

@@ -488,7 +488,6 @@ async def _serve(server: SimulationServer,
 def run_server(host: str = "127.0.0.1", port: int = 8642,
                checkpoint_dir: Optional[str] = None,
                max_inflight_chunks: int = 4, workers: int = 4,
-               parallelism: str = "serial",
                checkpoint_interval: int = 0,
                metrics_port: Optional[int] = None,
                tracing: bool = False,
@@ -516,7 +515,6 @@ def run_server(host: str = "127.0.0.1", port: int = 8642,
         checkpoint_dir=checkpoint_dir,
         max_inflight_chunks=max_inflight_chunks,
         workers=workers,
-        parallelism=parallelism,
         checkpoint_interval=checkpoint_interval,
         tracing=tracing,
         health_config=health_config,

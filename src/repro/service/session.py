@@ -8,13 +8,12 @@ over a shared thread pool, one in-order chunk pipeline per session:
   queued-or-running chunks; :meth:`SessionManager.feed` blocks past that,
   which an asyncio server surfaces as natural TCP backpressure (the
   connection's frames stop being consumed).  Engagements are counted in
-  :attr:`SessionManager.backpressure_waits` so the service benchmark can
+  :attr:`SessionManager.backpressure_waits` so tests and benchmarks can
   assert the limit actually bit.
 * **Ordering** — chunks apply in submission order: a session has exactly
   one drainer task at a time, which pops its FIFO until empty.  Distinct
-  sessions run concurrently; within a feed, channel-grain work fans out
-  through the same :class:`~repro.sim.executor.ParallelExecutor` path the
-  batch runner uses.
+  sessions run concurrently; each feed runs its channels serially on the
+  drainer thread.
 * **Eviction / resume** — :meth:`evict_idle` checkpoints cold sessions to
   disk and drops them from memory; the next request transparently
   restores them.  Checkpoints are atomic (see
@@ -50,7 +49,6 @@ from repro.prefetch.registry import make_prefetcher
 from repro.service.checkpoint import (Checkpoint, load_checkpoint,
                                       save_checkpoint, validate_restore)
 from repro.sim.engine import SystemSimulator
-from repro.sim.executor import Parallelism
 from repro.sim.metrics import RunMetrics
 from repro.sim.runner import collect_metrics
 from repro.trace.buffer import TraceBuffer
@@ -198,9 +196,6 @@ class SessionManager:
         max_inflight_chunks: per-session cap on queued-or-running chunks —
             the backpressure bound.
         workers: thread-pool size shared by all sessions' drainers.
-        parallelism: channel-grain execution mode for each chunk (same
-            knob as the batch runner; ``"serial"`` is deterministic and
-            the right default for many concurrent sessions).
         checkpoint_interval: auto-checkpoint a session every N chunks
             (0 disables; requires ``checkpoint_dir``).
         default_config: config for sessions opened without one.
@@ -215,7 +210,6 @@ class SessionManager:
 
     def __init__(self, checkpoint_dir: Optional[PathLike] = None,
                  max_inflight_chunks: int = 4, workers: int = 4,
-                 parallelism: Parallelism = "serial",
                  checkpoint_interval: int = 0,
                  default_config: Optional[SimConfig] = None,
                  tracing: bool = False,
@@ -226,7 +220,6 @@ class SessionManager:
         self.checkpoint_dir = (Path(checkpoint_dir)
                                if checkpoint_dir is not None else None)
         self.max_inflight_chunks = max_inflight_chunks
-        self.parallelism = parallelism
         self.checkpoint_interval = checkpoint_interval
         self.default_config = default_config
         self._sessions: Dict[str, Session] = {}
@@ -237,7 +230,7 @@ class SessionManager:
         #: Shared span recorder (the no-op singleton when tracing is off).
         self.spans = SpanRecorder() if tracing else NULL_SPANS
         self.health = HealthEngine(health_config)
-        # Service-level counters (read by the bench / `stats` op).
+        # Service-level counters (read by the `stats` op).
         self.backpressure_waits = 0
         self.chunks_executed = 0
         self.records_executed = 0
@@ -396,8 +389,7 @@ class SessionManager:
                         parent_id=ctx.get("span_id"),
                         session=session.name, records=len(buffer))
                 try:
-                    consumed = session.simulator.feed(
-                        buffer, parallelism=self.parallelism)
+                    consumed = session.simulator.feed(buffer)
                 except BaseException as exc:  # surface to the caller
                     future.set_exception(exc)
                     with session.cond:

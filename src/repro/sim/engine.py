@@ -70,6 +70,14 @@ class _FastDemandAccess:
 #: the batch engine.
 FALLBACK_REASONS = ("explicit_scalar", "non_lru_policy")
 
+#: ``parallelism="auto"`` runs a trace shorter than this serially: below
+#: it the process pool's start-up and pickling cost more than the four
+#: channels gain.  Measured on CFM, 2 vCPUs, medians of 5: at 24,000
+#: records ``auto`` ran ``none`` at 0.65x the serial rate (bop and
+#: planaria 1.26-1.28x); from 32,000 records all three were at or above
+#: serial (1.02-1.65x).  An explicit worker count is always honoured.
+AUTO_SERIAL_BELOW = 32_768
+
 
 class ChannelSimulator:
     """SC slice + DRAM channel + prefetcher for one channel.
@@ -520,9 +528,11 @@ class SystemSimulator:
         (``"serial"``, ``"auto"`` or a worker count): channel simulators
         share no mutable state once the trace is split, so each stream may
         run in its own process and the driven simulator shipped back — as
-        compact column arrays, not pickled record objects.  Results are bit-identical to serial execution (see
-        ``docs/parallelism.md``); the serial path is used deterministically
-        whenever one worker resolves or no pool is available.
+        compact column arrays, not pickled record objects.  Results are
+        bit-identical to serial execution (see ``docs/parallelism.md``);
+        the serial path is used deterministically whenever one worker
+        resolves, no pool is available, or ``"auto"`` meets a trace
+        shorter than :data:`AUTO_SERIAL_BELOW` records.
         """
         spans = self.spans
         if spans is None or not spans.enabled:
@@ -542,11 +552,14 @@ class SystemSimulator:
             for channel_sim, stream in zip(self.channels, streams)
         ], parallelism)
 
-    def _drive(self, jobs, parallelism: "Parallelism") -> None:
+    def _drive(self, jobs, parallelism: "Parallelism" = "serial") -> None:
         """Run each ``(channel, stream, warmup)`` job once every stream has
         passed its order check, so a rejected chunk changes no channel."""
         for channel_sim, stream, _ in jobs:
             channel_sim.check_order(stream)
+        short = sum(len(stream) for _, stream, _ in jobs) < AUTO_SERIAL_BELOW
+        if short and str(parallelism).strip().lower() == "auto":
+            parallelism = "serial"
         for channel_sim in self.channels:
             channel_sim._order_checked = True
         try:
@@ -582,8 +595,7 @@ class SystemSimulator:
             channel_sim.set_warmup(int(warmup),
                                    records_seen_hint=channel_sim._records_seen)
 
-    def feed(self, records: TraceLike,
-             parallelism: "Parallelism" = "serial") -> int:
+    def feed(self, records: TraceLike) -> int:
         """Ingest one chunk of the bus trace; returns the records consumed.
 
         The chunk is routed per channel and driven through each channel's
@@ -591,30 +603,29 @@ class SystemSimulator:
         by :meth:`set_stream_warmup` and each channel's position in its
         stream.  Any chunking of a trace — including empty chunks — yields
         final state bit-identical to a single :meth:`run` over the whole
-        trace.  ``parallelism`` fans the per-channel work out through the
-        same executor path :meth:`run` uses.
+        trace.  Feeds always run serially: a chunk is too short to repay a
+        process pool (see :data:`AUTO_SERIAL_BELOW`).
         """
         spans = self.spans
         if spans is None or not spans.enabled:
-            return self._feed_impl(records, parallelism)
+            return self._feed_impl(records)
         from repro.obs.trace_spans import SPAN_ENGINE_FEED
         open_span = spans.begin(SPAN_ENGINE_FEED)
         try:
-            consumed = self._feed_impl(records, parallelism)
+            consumed = self._feed_impl(records)
         except BaseException:
             spans.end(open_span, error=True)
             raise
         spans.end(open_span, records=consumed)
         return consumed
 
-    def _feed_impl(self, records: TraceLike,
-                   parallelism: "Parallelism") -> int:
+    def _feed_impl(self, records: TraceLike) -> int:
         buffer = _as_buffer(records)
         streams = buffer.split_channels(self.config.layout)
         self._drive([
             (channel_sim, stream, channel_sim._warmup_until)
             for channel_sim, stream in zip(self.channels, streams)
-        ], parallelism)
+        ])
         return len(buffer)
 
     def fallback_counts(self) -> dict:

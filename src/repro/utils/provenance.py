@@ -84,20 +84,3 @@ def config_fingerprint(prefetcher: str, config: Any) -> str:
                             "config": config_to_dict(config)},
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def degraded_scaling(cores: Optional[int], max_workers: int) -> Optional[str]:
-    """Why a scaling measurement on this host is *not* a scaling number.
-
-    Returns a human-readable warning when ``max_workers`` worker
-    processes would time-slice fewer CPU cores (the 1-core-container
-    trap: the sweep then measures sharding overhead, not speedup), or
-    ``None`` when the host can actually run them in parallel.
-    """
-    cores = cores or 1
-    if cores >= max_workers:
-        return None
-    return (f"host has {cores} CPU core(s) for {max_workers} worker "
-            f"process(es): workers time-slice the cores, so throughput "
-            f"does not measure scaling — rerun on >= {max_workers} cores "
-            f"(docs/service.md)")

@@ -113,58 +113,6 @@ class TestKeyboardInterrupt:
 
 
 class TestServe:
-    def test_bench_serve_smoke(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_service.json"
-        assert main(["bench-serve", "--sessions", "3", "--length", "600",
-                     "--chunk-records", "32", "--max-inflight", "1",
-                     "--worker-threads", "1", "--output", str(out)]) == 0
-        captured = capsys.readouterr().out
-        assert "3 sessions x 600 records" in captured
-        assert "backpressure waits" in captured
-        import json
-
-        report = json.loads(out.read_text())
-        assert report["equivalence"]["bit_identical_to_offline_simulate"]
-        assert report["backpressure_waits"] > 0
-
-    def test_bench_serve_traced_reports_feed_latency(self, tmp_path,
-                                                     capsys):
-        import json
-
-        out = tmp_path / "BENCH_service.json"
-        spans_out = tmp_path / "spans.json"
-        assert main(["bench-serve", "--sessions", "2", "--length", "600",
-                     "--chunk-records", "64", "--max-inflight", "1",
-                     "--worker-threads", "1", "--output", str(out),
-                     "--spans-out", str(spans_out)]) == 0
-        captured = capsys.readouterr().out
-        assert "per-chunk feed latency" in captured
-        report = json.loads(out.read_text())
-        assert report["tracing"] and report["equivalence"]["traced_run"]
-        latency = report["feed_latency_us"]
-        assert latency["chunks"] == 2 * -(-600 // 64)
-        assert latency["p50"] <= latency["p95"] <= latency["p99"]
-        assert report["health"]["status"] == "ok"
-
-        from repro.obs.trace_spans import read_chrome_trace
-
-        spans = read_chrome_trace(spans_out)
-        assert {s.name for s in spans} >= {"request.feed",
-                                           "session.feed_chunk",
-                                           "engine.feed"}
-
-    def test_bench_serve_no_trace_omits_latency(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_service.json"
-        assert main(["bench-serve", "--sessions", "2", "--length", "400",
-                     "--chunk-records", "64", "--max-inflight", "1",
-                     "--worker-threads", "1", "--output", str(out),
-                     "--no-trace"]) == 0
-        report = json.loads(out.read_text())
-        assert not report["tracing"]
-        assert "feed_latency_us" not in report
-
     def test_spans_verb_dumps_chrome_trace(self, tmp_path, capsys):
         from repro.config import SimConfig
         from repro.obs.trace_spans import read_chrome_trace

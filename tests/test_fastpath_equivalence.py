@@ -64,7 +64,7 @@ def test_columnar_matches_object_path(buffer, records, name):
 def test_columnar_parallel_matches_object_serial(buffer, records, name):
     """A buffer under channel-grain parallelism vs its record list run
     serially, both on the batch engine."""
-    assert _run(buffer, name, parallelism="auto") == _run(
+    assert _run(buffer, name, parallelism=2) == _run(
         records, name, parallelism="serial")
 
 
@@ -105,7 +105,7 @@ def test_golden_expectations_hold_on_batch_path(name):
 def test_batch_parallel_matches_scalar_serial(buffer, name):
     """Fused loops under channel-grain parallelism vs the scalar serial
     loop — the two most distant execution configurations."""
-    assert _run(buffer, name, parallelism="auto",
+    assert _run(buffer, name, parallelism=2,
                 engine_mode="batch") == _run(
         buffer, name, parallelism="serial", engine_mode="scalar")
 

@@ -10,8 +10,11 @@ exactly equal.
 
 import pytest
 
-from repro.sim.executor import pool_available, resolve_parallelism
-from repro.sim.runner import compare_prefetchers, run_workload
+from repro.sim.engine import AUTO_SERIAL_BELOW
+from repro.sim.executor import (ParallelExecutor, pool_available,
+                                resolve_parallelism)
+from repro.sim.runner import compare_prefetchers, run_workload, simulate
+from repro.trace.generator import generate_trace_buffer, get_profile
 
 APP = "CFM"
 LENGTH = 8_000
@@ -85,6 +88,28 @@ def test_auto_mode_matches_serial():
                                seed=SEED, parallelism="auto")
     for name in serial:
         assert_identical(serial[name], auto[name])
+
+
+def test_auto_runs_short_traces_serially(monkeypatch):
+    """``"auto"`` below ``AUTO_SERIAL_BELOW`` records never starts the
+    channel pool, even when it resolves to several workers; an explicit
+    worker count still reaches it."""
+    calls = []
+    run_channels = ParallelExecutor.run_channels
+
+    def counting(self, jobs):
+        calls.append(self.parallelism)
+        return run_channels(self, jobs)
+
+    monkeypatch.setattr(ParallelExecutor, "run_channels", counting)
+    monkeypatch.setenv("REPRO_PARALLELISM", "2")
+    buffer = generate_trace_buffer(get_profile(APP), 4_000, seed=SEED)
+    assert len(buffer) < AUTO_SERIAL_BELOW
+    serial = simulate(buffer, "planaria", parallelism="serial").metrics
+    assert simulate(buffer, "planaria", parallelism="auto").metrics == serial
+    assert calls == []
+    assert simulate(buffer, "planaria", parallelism=2).metrics == serial
+    assert calls == [2]
 
 
 class TestResolveParallelism:

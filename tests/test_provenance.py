@@ -5,8 +5,8 @@ import platform
 from repro.config import SimConfig
 from repro.service.checkpoint import atomic_write_bytes
 from repro.service.checkpoint import config_fingerprint as checkpoint_fp
-from repro.utils.provenance import (config_fingerprint, degraded_scaling,
-                                    git_revision, runtime_provenance)
+from repro.utils.provenance import (config_fingerprint, git_revision,
+                                    runtime_provenance)
 
 
 class TestRuntimeProvenance:
@@ -62,16 +62,6 @@ class TestConfigFingerprint:
         fp = config_fingerprint("none", SimConfig.experiment_scale())
         assert len(fp) == 16
         assert all(ch in "0123456789abcdef" for ch in fp)
-
-
-class TestDegradedScaling:
-    def test_degraded_when_fewer_cores_than_workers(self):
-        warning = degraded_scaling(1, 4)
-        assert warning is not None and "1" in warning and "4" in warning
-
-    def test_silent_when_enough_cores(self):
-        assert degraded_scaling(8, 4) is None
-        assert degraded_scaling(4, 4) is None
 
 
 class TestAtomicWriteBytes:

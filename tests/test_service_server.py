@@ -139,6 +139,45 @@ class TestEndToEnd:
             assert two.snapshot("x").records_fed == 200
             assert one.snapshot("y").records_fed == 300
 
+    def test_backpressure_engages_over_tcp(self):
+        """Two clients streaming small chunks into a one-thread server
+        with one in-flight chunk per session: feeds must block on the
+        bound, and both sessions still close equal to offline."""
+        import threading
+
+        trace = _trace()
+        warmup = channel_warmup_counts(trace, _config())
+        manager = SessionManager(max_inflight_chunks=1, workers=1,
+                                 default_config=_config())
+        closed, errors = {}, []
+
+        def drive(port, prefetcher):  # one session per prefetcher
+            try:
+                with ServiceClient.connect(port=port) as client:
+                    client.open(prefetcher, prefetcher, workload="wire",
+                                config=_config(), warmup_records=warmup)
+                    client.feed_trace(prefetcher, trace, chunk_records=32)
+                    closed[prefetcher] = client.close_session(
+                        prefetcher).metrics
+            except Exception as exc:  # asserted on the test thread
+                errors.append(exc)
+
+        with _ServerThread(manager) as running:
+            threads = [threading.Thread(target=drive,
+                                        args=(running.port, prefetcher))
+                       for prefetcher in ("none", "planaria")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        manager.shutdown(checkpoint=False)
+        assert not errors, errors
+        assert manager.stats()["backpressure_waits"] > 0
+        assert sorted(closed) == ["none", "planaria"]
+        for prefetcher, metrics in closed.items():
+            assert metrics == _offline_metrics(prefetcher)
+
 
 class TestServerErrors:
     def test_unknown_prefetcher_lists_registered_names(self, client):
