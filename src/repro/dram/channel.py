@@ -77,11 +77,6 @@ class DRAMChannel:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _bank_for(self, block_addr: int) -> Bank:
-        decoded = self.mapping.decode(block_addr)
-        index = decoded.rank * self.config.num_banks + decoded.bank
-        return self.banks[index]
-
     def _apply_refresh(self, now: int) -> None:
         """Retire any refresh intervals that elapsed before ``now``."""
         if not self.config.refresh_enabled:
@@ -92,18 +87,6 @@ class DRAMChannel:
                 bank.block_until(refresh_end)
             self.stats.refreshes += 1
             self._next_refresh += self.timing.tREFI
-
-    def _activate_allowed_at(self, earliest: int) -> int:
-        """Earliest activate satisfying rank-level tRRD and tFAW."""
-        allowed = max(earliest, self._last_activate_time + self.timing.tRRD)
-        if len(self._recent_activates) == self._recent_activates.maxlen:
-            allowed = max(allowed, self._recent_activates[0] + self.timing.tFAW)
-        return allowed
-
-    def _record_activate(self, act_time: int) -> None:
-        self._last_activate_time = act_time
-        self._recent_activates.append(act_time)
-        self.stats.activates += 1
 
     # ------------------------------------------------------------------
     # Public API

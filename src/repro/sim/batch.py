@@ -10,20 +10,17 @@ state — while running several times faster.  Where the speed comes from:
 * **Vectorized decomposition** — block address, page number, segment
   offset and channel-block index for the whole chunk come from
   :func:`repro.sim.kernels.decompose_chunk` in four NumPy passes
-  (``tolist()`` hands back exact Python ints); the demand path
-  additionally precomputes the DRAM bank-index/row columns
-  (:func:`repro.sim.kernels.dram_bank_rows`), so a miss never runs the
-  five-step scalar address decode.
-* **Inlined cache + DRAM operations** — both loops work directly on the
-  :class:`~repro.cache.array_state.ArrayCache` arrays: the lookup and fill
-  of ``SetAssociativeCache.access``/``fill`` under LRU, inlined.  The
-  demand-only loop (:func:`_run_passive`) also fuses
-  ``DRAMChannel.service_scalar`` + ``Bank.cas_time`` and the metric
-  recurrences into one loop body over Python locals: zero function calls
-  per record.  The active loop (:func:`_run_active`) keeps the prefetcher
-  calls but routes DRAM through one flattened closure
-  (:func:`_dram_closures`).  The semantics mirror the scalar methods
-  statement for statement — keep them in lockstep.
+  (``tolist()`` hands back exact Python ints).
+* **Inlined cache operations, one DRAM body** — both loops work directly
+  on the :class:`~repro.cache.array_state.ArrayCache` arrays: the lookup
+  and fill of ``SetAssociativeCache.access``/``fill`` under LRU, inlined.
+  The demand-only loop (:func:`_run_passive`) also fuses the metric
+  recurrences into its loop body, so a cache hit makes no function call.
+  Every DRAM request of either loop — demand read, prefetch, write-back —
+  goes through one flattened closure (:func:`_dram_closures`), the batch
+  engine's only copy of ``DRAMChannel.service_scalar`` +
+  ``Bank.cas_time``.  The semantics mirror the scalar methods statement
+  for statement — keep them in lockstep.
 * **Derived counters** — monotone counters (hits/misses/fills/writebacks,
   metric read/write counts, DRAM request counts, data-bus cycles) are not
   incremented per record; they are reconstructed exactly at sync time from
@@ -149,14 +146,16 @@ def _dram_closures(dram, rd_lats, pf_lats, wb_cell):
     ``rd_lats`` / ``pf_lats`` lists and write-backs bump ``wb_cell[0]`` —
     the caller derives the request counters, data-bus cycles and latency
     aggregates from those at chunk end (see the finally blocks in
-    :func:`_run_active` / :func:`_run_passive`).
+    :func:`_run_active` / :func:`_run_passive`).  ``service`` is the batch
+    engine's only DRAM timing code: both loops, warmup and measured
+    segments alike, call it for every request.
 
     ``sync()`` writes the timing state back onto the channel, its banks
     and the bank-sum row statistics — call it exactly once, when the
     chunk ends (or unwinds).  Keep the body in lockstep with
     ``service_scalar`` / ``Bank.cas_time``; the oracle suite compares
-    ``DRAMChannel.state_dict`` snapshots after every run, so any drift is
-    loud.
+    ``DRAMChannel.state_dict`` snapshots after every run, under the
+    default and several non-default DRAM configs, so any drift is loud.
     """
     timing = dram.timing
     tREFI = dram._tREFI
@@ -380,9 +379,8 @@ def run_buffer_batch(sim, buffer, warmup_records: int = 0) -> bool:
         sim.finish()
         return True
 
-    layout = sim.layout
     block_addrs, page_col, offset_col, chan_col = kernels.decompose_chunk(
-        buffer.addresses, layout)
+        buffer.addresses, sim.layout)
     times = buffer.arrival_times.tolist()
     read_col = (buffer.access_types == 0).tolist()  # AccessType.READ
     device_col = buffer.devices.tolist()
@@ -402,13 +400,8 @@ def run_buffer_batch(sim, buffer, warmup_records: int = 0) -> bool:
         gc.disable()
     try:
         if passive:
-            dram = sim.dram
-            bank_col, row_col = kernels.dram_bank_rows(
-                buffer.addresses, layout.block_bits, dram._column_bits,
-                dram._bank_mask, dram._bank_bits, dram._rank_mask,
-                dram._rank_bits, dram._num_banks)
             _run_passive(sim, block_addrs, times, read_col, device_col,
-                         bank_col, row_col, cut, total)
+                         cut, total)
         else:
             _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                         times, read_col, device_col, cut, total)
@@ -423,17 +416,18 @@ def run_buffer_batch(sim, buffer, warmup_records: int = 0) -> bool:
     return True
 
 
-def _run_passive(sim, block_addrs, times, read_col, device_col,
-                 bank_col, row_col, cut, total):
-    """Fully fused demand-only loop: cache + DRAM + metrics, zero calls.
+def _run_passive(sim, block_addrs, times, read_col, device_col, cut, total):
+    """Fused demand-only loop: inlined cache and metrics, closure DRAM.
 
     The dispatcher guarantees no prefetched block is resident (and the
     demand path cannot create one), so the prefetch-consumption branches
-    of the cache lookup and fill are elided outright.  Everything
-    else — the DRAM service body, the Welford recurrences — is the scalar
-    code inlined over Python locals; the duplicated DRAM block must stay
-    in lockstep with ``DRAMChannel.service_scalar`` and the closure in
-    :func:`_dram_closures`.
+    of the cache lookup and fill are elided outright.  The Welford
+    recurrences are the scalar code inlined over Python locals, so a hit
+    makes no call; a miss and its dirty victim's write-back call the
+    ``service`` closure of :func:`_dram_closures`, synced once at the end.
+    The warmup prefix runs as its own short loop without metrics: folding
+    it into the measured loop behind a per-record test cost about 10% of
+    the loop's throughput.
     """
     cache = sim.cache
     cmap = cache._map
@@ -455,8 +449,8 @@ def _run_passive(sim, block_addrs, times, read_col, device_col,
     dram = sim.dram
     burst = dram._burst_cycles
     rd_lats = []
-    rd_append = rd_lats.append
     wb_cell = [0]
+    service, dram_sync = _dram_closures(dram, rd_lats, [], wb_cell)
     n_delayed = 0
 
     # Metric aggregates as plain locals (absolute values, written back at
@@ -519,428 +513,127 @@ def _run_passive(sim, block_addrs, times, read_col, device_col,
     dev_demand = [device_demand.get(name) for name in device_names]
 
     try:
-        if cut:
-            # Warmup segment (no metrics): cold path, closure-based DRAM.
-            service, dram_sync = _dram_closures(dram, rd_lats, [], wb_cell)
-            try:
-                for block_addr, is_read, device_value, now in zip(
-                        block_addrs[0:cut], read_col[0:cut],
-                        device_col[0:cut], times[0:cut]):
-                    way = map_get(block_addr, -1)
-                    if way >= 0:
-                        tick += 1
-                        touch[way] = tick
-                        if not is_read:
-                            dirty[way] = True
-                        if ready[way] > now:
-                            n_delayed += 1
-                        continue
-                    completion = service(block_addr, now, 0, "")
-                    set_index = block_addr & set_mask
-                    free = free_lists[set_index]
-                    if partitions and device_value in partitions:
-                        way = partition_victim(tags, touch, set_index * assoc,
-                                               partitions[device_value])
-                        victim_tag = tags[way]
-                        if victim_tag is None:
-                            free.remove(way)
-                            occupancy += 1
-                    elif free:
-                        way = free.pop(0)
-                        occupancy += 1
-                        victim_tag = None
-                    else:
-                        base = set_index * assoc
-                        ages = touch[base:base + assoc]
-                        way = base + ages.index(min(ages))
-                        victim_tag = tags[way]
-                    if victim_tag is not None:
-                        del cmap[victim_tag]
-                        if dirty[way]:
-                            service(victim_tag, now, 2, "")
-                    tags[way] = block_addr
-                    cmap[block_addr] = way
-                    dirty[way] = not is_read
-                    source[way] = None
-                    ready[way] = completion
-                    tick += 1
-                    touch[way] = tick
-            finally:
-                dram_sync()
+        # Warmup segment (no metrics).
+        for block_addr, is_read, device_value, now in zip(
+                block_addrs[0:cut], read_col[0:cut],
+                device_col[0:cut], times[0:cut]):
+            way = map_get(block_addr, -1)
+            if way >= 0:
+                tick += 1
+                touch[way] = tick
+                if not is_read:
+                    dirty[way] = True
+                if ready[way] > now:
+                    n_delayed += 1
+                continue
+            completion = service(block_addr, now, 0, "")
+            set_index = block_addr & set_mask
+            free = free_lists[set_index]
+            if partitions and device_value in partitions:
+                way = partition_victim(tags, touch, set_index * assoc,
+                                       partitions[device_value])
+                victim_tag = tags[way]
+                if victim_tag is None:
+                    free.remove(way)
+                    occupancy += 1
+            elif free:
+                way = free.pop(0)
+                occupancy += 1
+                victim_tag = None
+            else:
+                base = set_index * assoc
+                ages = touch[base:base + assoc]
+                way = base + ages.index(min(ages))
+                victim_tag = tags[way]
+            if victim_tag is not None:
+                del cmap[victim_tag]
+                if dirty[way]:
+                    service(victim_tag, now, 2, "")
+            tags[way] = block_addr
+            cmap[block_addr] = way
+            dirty[way] = not is_read
+            source[way] = None
+            ready[way] = completion
+            tick += 1
+            touch[way] = tick
 
-        if cut < total:
-            # Post-warmup segment: the fused hot loop.  DRAM channel and
-            # bank state hoisted into locals (fresh reads — the warmup
-            # closure, if any, has already synced back).
-            timing = dram.timing
-            tREFI = dram._tREFI
-            tRFC = timing.tRFC
-            tWTR = dram._tWTR
-            tRRD = dram._tRRD
-            tFAW = dram._tFAW
-            tCL = dram._tCL
-            tCWL = dram._tCWL
-            tWR = dram._tWR
-            tRCD = timing.tRCD
-            tRAS = timing.tRAS
-            tRP = timing.tRP
-            tCCD = timing.tCCD
-            tRTP = timing.tRTP
-            column_bits = dram._column_bits
-            bank_mask = dram._bank_mask
-            bank_bits = dram._bank_bits
-            rank_mask = dram._rank_mask
-            rank_bits = dram._rank_bits
-            num_banks = dram._num_banks
-            refresh_enabled = dram._refresh_enabled
-            queue_depth = dram._queue_depth
-            writeback_defer = dram._writeback_defer
-            fcfs = dram._fcfs
-            faw_window = dram._faw_window
-            banks = dram.banks
-            total_banks = len(banks)
-            auto_precharge = banks[0].auto_precharge
-            b_open = [bank.open_row for bank in banks]
-            b_act = [bank.activate_time for bank in banks]
-            b_next_cas = [bank.next_cas_time for bank in banks]
-            b_ready = [bank.ready_time for bank in banks]
-            b_hits = [bank.row_hits for bank in banks]
-            b_misses = [bank.row_misses for bank in banks]
-            b_conflicts = [bank.row_conflicts for bank in banks]
-            b_activates = [bank.activates for bank in banks]
-            bh0 = sum(b_hits)
-            bm0 = sum(b_misses)
-            bc0 = sum(b_conflicts)
-            ba0 = sum(b_activates)
-            s_refreshes = dram.stats.refreshes
-            recent = dram._recent_activates
-            recent_append = recent.append
-            outstanding = dram._outstanding
-            out_popleft = outstanding.popleft
-            out_append = outstanding.append
-            bus_free = dram._bus_free_time
-            last_write_end = dram._last_write_end
-            last_act = dram._last_activate_time
-            next_refresh = dram._next_refresh
-            d_last_time = dram._last_time
-            last_cas = dram._last_cas_time
-            queue_stalls = dram.stats_queue_stalls
-            wb_count = 0
-
-            try:
-                for block_addr, is_read, device_value, now, bank_index, \
-                        row in zip(
-                            block_addrs[cut:total], read_col[cut:total],
-                            device_col[cut:total], times[cut:total],
-                            bank_col[cut:total], row_col[cut:total]):
-                    way = map_get(block_addr, -1)
-                    if way >= 0:
-                        tick += 1
-                        touch[way] = tick
-                        if is_read:
-                            ready_at = ready[way]
-                            if ready_at <= now:
-                                # Plain read hit: constant latency — the
-                                # min/max/histogram/device extremes defer
-                                # to the sync merge.
-                                const_read_seen = True
-                                if hb_known:
-                                    hb_const += 1
-                                else:
-                                    h_buckets[hit_bucket] = h_buckets.get(
-                                        hit_bucket, 0) + 1
-                                    hb_known = True
-                                a_count += 1
-                                delta = hit_latency - a_mean
-                                a_mean += delta / a_count
-                                a_m2 += delta * (hit_latency - a_mean)
-                                r_count += 1
-                                delta = hit_latency - r_mean
-                                r_mean += delta / r_count
-                                r_m2 += delta * (hit_latency - r_mean)
-                                dn = dev_n[device_value]
-                                if not dn:
-                                    dev_order.append(device_value)
-                                dn += 1
-                                dev_n[device_value] = dn
-                                dm = dev_mean[device_value]
-                                delta = hit_latency - dm
-                                dm += delta / dn
-                                dev_mean[device_value] = dm
-                                dev_m2[device_value] += delta * (
-                                    hit_latency - dm)
-                                dev_const[device_value] = True
-                                dd = dev_demand[device_value]
-                                if dd is None:
-                                    dd = [0, 0, 0, 0]
-                                    device_demand[
-                                        device_names[device_value]] = dd
-                                    dev_demand[device_value] = dd
-                                dd[0] += 1
-                                dd[1] += 1
-                                continue
-                            # Delayed hit: still in flight — counts as a
-                            # miss, latency covers the residual wait.
-                            n_delayed += 1
-                            latency = hit_latency + (ready_at - now)
-                            dd = dev_demand[device_value]
-                            if dd is None:
-                                dd = [0, 0, 0, 0]
-                                device_demand[
-                                    device_names[device_value]] = dd
-                                dev_demand[device_value] = dd
-                            dd[0] += 1
+        # Post-warmup segment: the fused hot loop.
+        for block_addr, is_read, device_value, now in zip(
+                block_addrs[cut:total], read_col[cut:total],
+                device_col[cut:total], times[cut:total]):
+            way = map_get(block_addr, -1)
+            if way >= 0:
+                tick += 1
+                touch[way] = tick
+                if is_read:
+                    ready_at = ready[way]
+                    if ready_at <= now:
+                        # Plain read hit: constant latency — the
+                        # min/max/histogram/device extremes defer to the
+                        # sync merge.
+                        const_read_seen = True
+                        if hb_known:
+                            hb_const += 1
                         else:
-                            dirty[way] = True
-                            ready_at = ready[way]
-                            if ready_at <= now:
-                                const_seen = True
-                                a_count += 1
-                                delta = hit_latency - a_mean
-                                a_mean += delta / a_count
-                                a_m2 += delta * (hit_latency - a_mean)
-                                dd = dev_demand[device_value]
-                                if dd is None:
-                                    dd = [0, 0, 0, 0]
-                                    device_demand[
-                                        device_names[device_value]] = dd
-                                    dev_demand[device_value] = dd
-                                dd[0] += 1
-                                dd[1] += 1
-                                continue
-                            n_delayed += 1
-                            latency = hit_latency + (ready_at - now)
-                            a_count += 1
-                            delta = latency - a_mean
-                            a_mean += delta / a_count
-                            a_m2 += delta * (latency - a_mean)
-                            if a_min is None or latency < a_min:
-                                a_min = latency
-                            if a_max is None or latency > a_max:
-                                a_max = latency
-                            dd = dev_demand[device_value]
-                            if dd is None:
-                                dd = [0, 0, 0, 0]
-                                device_demand[
-                                    device_names[device_value]] = dd
-                                dev_demand[device_value] = dd
-                            dd[0] += 1
-                            continue
-                    else:
-                        # Demand miss → DRAM read (service_scalar inlined;
-                        # bank_index/row precomputed by dram_bank_rows).
-                        if now > d_last_time:
-                            d_last_time = now
-                        dnow = now
-                        if refresh_enabled and dnow >= next_refresh:
-                            while dnow >= next_refresh:
-                                refresh_end = next_refresh + tRFC
-                                for bi in range(total_banks):
-                                    if refresh_end > b_ready[bi]:
-                                        b_ready[bi] = refresh_end
-                                    b_open[bi] = None
-                                s_refreshes += 1
-                                next_refresh += tREFI
-                        while outstanding and outstanding[0] <= dnow:
-                            out_popleft()
-                        if len(outstanding) >= queue_depth:
-                            dnow = out_popleft()
-                            queue_stalls += 1
-                        earliest = last_write_end + tWTR
-                        if earliest < dnow:
-                            earliest = dnow
-                        if fcfs and last_cas > earliest:
-                            earliest = last_cas
-                        bank_ready = b_ready[bank_index]
-                        start = earliest if earliest > bank_ready \
-                            else bank_ready
-                        open_row = b_open[bank_index]
-                        if open_row == row:
-                            next_cas = b_next_cas[bank_index]
-                            cas = start if start > next_cas else next_cas
-                            b_hits[bank_index] += 1
-                        else:
-                            act_allowed = last_act + tRRD
-                            if act_allowed < earliest:
-                                act_allowed = earliest
-                            if len(recent) == faw_window:
-                                faw_bound = recent[0] + tFAW
-                                if faw_bound > act_allowed:
-                                    act_allowed = faw_bound
-                            if open_row is None:
-                                act_time = start if start > act_allowed \
-                                    else act_allowed
-                                b_misses[bank_index] += 1
-                            else:
-                                precharge = b_act[bank_index] + tRAS
-                                if start > precharge:
-                                    precharge = start
-                                act_time = precharge + tRP
-                                if act_allowed > act_time:
-                                    act_time = act_allowed
-                                b_conflicts[bank_index] += 1
-                            cas = act_time + tRCD
-                            b_open[bank_index] = row
-                            b_act[bank_index] = act_time
-                            b_activates[bank_index] += 1
-                            last_act = act_time
-                            recent_append(act_time)
-                        b_next_cas[bank_index] = cas + tCCD
-                        if cas > bank_ready:
-                            bank_ready = cas
-                        if auto_precharge:
-                            b_open[bank_index] = None
-                            precharged = cas + tRTP + tRP
-                            if precharged > bank_ready:
-                                bank_ready = precharged
-                        b_ready[bank_index] = bank_ready
-                        if cas > last_cas:
-                            last_cas = cas
-                        data_start = cas + tCL
-                        if data_start < bus_free:
-                            data_start = bus_free
-                        completion = data_start + burst
-                        bus_free = completion
-                        out_append(completion)
-                        rd_append(completion - now)
-
-                        # Fill (ArrayCache.fill inlined; no prefetched
-                        # victims can exist on this path).
-                        set_index = block_addr & set_mask
-                        free = free_lists[set_index]
-                        if partitions and device_value in partitions:
-                            way = partition_victim(
-                                tags, touch, set_index * assoc,
-                                partitions[device_value])
-                            victim_tag = tags[way]
-                            if victim_tag is None:
-                                free.remove(way)
-                                occupancy += 1
-                        elif free:
-                            way = free.pop(0)
-                            occupancy += 1
-                            victim_tag = None
-                        else:
-                            base = set_index * assoc
-                            ages = touch[base:base + assoc]
-                            way = base + ages.index(min(ages))
-                            victim_tag = tags[way]
-                        if victim_tag is not None:
-                            del cmap[victim_tag]
-                            if dirty[way]:
-                                # Dirty victim → write-back (service_scalar
-                                # inlined again, write flavour: defer, no
-                                # read turnaround, tCWL + tWR).
-                                wb_count += 1
-                                remainder = victim_tag >> column_bits
-                                wb_bank = remainder & bank_mask
-                                remainder >>= bank_bits
-                                if rank_bits:
-                                    wb_row = remainder >> rank_bits
-                                    wb_bank += (remainder & rank_mask) \
-                                        * num_banks
-                                else:
-                                    wb_row = remainder
-                                if now > d_last_time:
-                                    d_last_time = now
-                                dnow = now
-                                if refresh_enabled and dnow >= next_refresh:
-                                    while dnow >= next_refresh:
-                                        refresh_end = next_refresh + tRFC
-                                        for bi in range(total_banks):
-                                            if refresh_end > b_ready[bi]:
-                                                b_ready[bi] = refresh_end
-                                            b_open[bi] = None
-                                        s_refreshes += 1
-                                        next_refresh += tREFI
-                                while outstanding and outstanding[0] <= dnow:
-                                    out_popleft()
-                                if len(outstanding) >= queue_depth:
-                                    dnow = out_popleft()
-                                    queue_stalls += 1
-                                earliest = dnow + writeback_defer
-                                if fcfs and last_cas > earliest:
-                                    earliest = last_cas
-                                bank_ready = b_ready[wb_bank]
-                                start = earliest if earliest > bank_ready \
-                                    else bank_ready
-                                open_row = b_open[wb_bank]
-                                if open_row == wb_row:
-                                    next_cas = b_next_cas[wb_bank]
-                                    cas = start if start > next_cas \
-                                        else next_cas
-                                    b_hits[wb_bank] += 1
-                                else:
-                                    act_allowed = last_act + tRRD
-                                    if act_allowed < earliest:
-                                        act_allowed = earliest
-                                    if len(recent) == faw_window:
-                                        faw_bound = recent[0] + tFAW
-                                        if faw_bound > act_allowed:
-                                            act_allowed = faw_bound
-                                    if open_row is None:
-                                        act_time = start \
-                                            if start > act_allowed \
-                                            else act_allowed
-                                        b_misses[wb_bank] += 1
-                                    else:
-                                        precharge = b_act[wb_bank] + tRAS
-                                        if start > precharge:
-                                            precharge = start
-                                        act_time = precharge + tRP
-                                        if act_allowed > act_time:
-                                            act_time = act_allowed
-                                        b_conflicts[wb_bank] += 1
-                                    cas = act_time + tRCD
-                                    b_open[wb_bank] = wb_row
-                                    b_act[wb_bank] = act_time
-                                    b_activates[wb_bank] += 1
-                                    last_act = act_time
-                                    recent_append(act_time)
-                                b_next_cas[wb_bank] = cas + tCCD
-                                if cas > bank_ready:
-                                    bank_ready = cas
-                                if auto_precharge:
-                                    b_open[wb_bank] = None
-                                    precharged = cas + tRTP + tRP
-                                    if precharged > bank_ready:
-                                        bank_ready = precharged
-                                b_ready[wb_bank] = bank_ready
-                                if cas > last_cas:
-                                    last_cas = cas
-                                data_start = cas + tCWL
-                                if data_start < bus_free:
-                                    data_start = bus_free
-                                wb_end = data_start + burst
-                                bus_free = wb_end
-                                last_write_end = wb_end + tWR
-                                out_append(wb_end)
-                        tags[way] = block_addr
-                        cmap[block_addr] = way
-                        dirty[way] = not is_read
-                        source[way] = None
-                        ready[way] = completion
-                        tick += 1
-                        touch[way] = tick
+                            h_buckets[hit_bucket] = h_buckets.get(
+                                hit_bucket, 0) + 1
+                            hb_known = True
+                        a_count += 1
+                        delta = hit_latency - a_mean
+                        a_mean += delta / a_count
+                        a_m2 += delta * (hit_latency - a_mean)
+                        r_count += 1
+                        delta = hit_latency - r_mean
+                        r_mean += delta / r_count
+                        r_m2 += delta * (hit_latency - r_mean)
+                        dn = dev_n[device_value]
+                        if not dn:
+                            dev_order.append(device_value)
+                        dn += 1
+                        dev_n[device_value] = dn
+                        dm = dev_mean[device_value]
+                        delta = hit_latency - dm
+                        dm += delta / dn
+                        dev_mean[device_value] = dm
+                        dev_m2[device_value] += delta * (hit_latency - dm)
+                        dev_const[device_value] = True
                         dd = dev_demand[device_value]
                         if dd is None:
                             dd = [0, 0, 0, 0]
                             device_demand[device_names[device_value]] = dd
                             dev_demand[device_value] = dd
                         dd[0] += 1
-                        dd[3] += 1
-                        if not is_read:
-                            # Write miss: store buffered, constant latency.
-                            const_seen = True
-                            a_count += 1
-                            delta = hit_latency - a_mean
-                            a_mean += delta / a_count
-                            a_m2 += delta * (hit_latency - a_mean)
-                            continue
-                        latency = hit_latency + (completion - now)
-
-                    # Variable-latency read (delayed hit or read miss):
-                    # full metric recording.
+                        dd[1] += 1
+                        continue
+                    # Delayed hit: still in flight — counts as a miss,
+                    # latency covers the residual wait.
+                    n_delayed += 1
+                    latency = hit_latency + (ready_at - now)
+                    dd = dev_demand[device_value]
+                    if dd is None:
+                        dd = [0, 0, 0, 0]
+                        device_demand[device_names[device_value]] = dd
+                        dev_demand[device_value] = dd
+                    dd[0] += 1
+                else:
+                    dirty[way] = True
+                    ready_at = ready[way]
+                    if ready_at <= now:
+                        const_seen = True
+                        a_count += 1
+                        delta = hit_latency - a_mean
+                        a_mean += delta / a_count
+                        a_m2 += delta * (hit_latency - a_mean)
+                        dd = dev_demand[device_value]
+                        if dd is None:
+                            dd = [0, 0, 0, 0]
+                            device_demand[device_names[device_value]] = dd
+                            dev_demand[device_value] = dd
+                        dd[0] += 1
+                        dd[1] += 1
+                        continue
+                    n_delayed += 1
+                    latency = hit_latency + (ready_at - now)
                     a_count += 1
                     delta = latency - a_mean
                     a_mean += delta / a_count
@@ -949,57 +642,102 @@ def _run_passive(sim, block_addrs, times, read_col, device_col,
                         a_min = latency
                     if a_max is None or latency > a_max:
                         a_max = latency
-                    r_count += 1
-                    delta = latency - r_mean
-                    r_mean += delta / r_count
-                    r_m2 += delta * (latency - r_mean)
-                    if r_min is None or latency < r_min:
-                        r_min = latency
-                    if r_max is None or latency > r_max:
-                        r_max = latency
-                    bucket = int(latency // bucket_width)
-                    h_buckets[bucket] = h_buckets.get(bucket, 0) + 1
-                    dn = dev_n[device_value]
-                    if not dn:
-                        dev_order.append(device_value)
-                    dn += 1
-                    dev_n[device_value] = dn
-                    dm = dev_mean[device_value]
-                    delta = latency - dm
-                    dm += delta / dn
-                    dev_mean[device_value] = dm
-                    dev_m2[device_value] += delta * (latency - dm)
-                    dmn = dev_min[device_value]
-                    if dmn is None or latency < dmn:
-                        dev_min[device_value] = latency
-                    dmx = dev_max[device_value]
-                    if dmx is None or latency > dmx:
-                        dev_max[device_value] = latency
-            finally:
-                for index, bank in enumerate(banks):
-                    bank.open_row = b_open[index]
-                    bank.activate_time = b_act[index]
-                    bank.next_cas_time = b_next_cas[index]
-                    bank.ready_time = b_ready[index]
-                    bank.row_hits = b_hits[index]
-                    bank.row_misses = b_misses[index]
-                    bank.row_conflicts = b_conflicts[index]
-                    bank.activates = b_activates[index]
-                dstats = dram.stats
-                dstats.row_hits += sum(b_hits) - bh0
-                dstats.row_misses += sum(b_misses) - bm0
-                dstats.row_conflicts += sum(b_conflicts) - bc0
-                dstats.activates += sum(b_activates) - ba0
-                dstats.refreshes = s_refreshes
-                dram._bus_free_time = bus_free
-                dram._last_write_end = last_write_end
-                dram._last_activate_time = last_act
-                dram._next_refresh = next_refresh
-                dram._last_time = d_last_time
-                dram._last_cas_time = last_cas
-                dram.stats_queue_stalls = queue_stalls
-                wb_cell[0] += wb_count
+                    dd = dev_demand[device_value]
+                    if dd is None:
+                        dd = [0, 0, 0, 0]
+                        device_demand[device_names[device_value]] = dd
+                        dev_demand[device_value] = dd
+                    dd[0] += 1
+                    continue
+            else:
+                # Demand miss → DRAM read, then the fill
+                # (ArrayCache.fill inlined; no prefetched victims can
+                # exist on this path).
+                completion = service(block_addr, now, 0, "")
+                set_index = block_addr & set_mask
+                free = free_lists[set_index]
+                if partitions and device_value in partitions:
+                    way = partition_victim(tags, touch, set_index * assoc,
+                                           partitions[device_value])
+                    victim_tag = tags[way]
+                    if victim_tag is None:
+                        free.remove(way)
+                        occupancy += 1
+                elif free:
+                    way = free.pop(0)
+                    occupancy += 1
+                    victim_tag = None
+                else:
+                    base = set_index * assoc
+                    ages = touch[base:base + assoc]
+                    way = base + ages.index(min(ages))
+                    victim_tag = tags[way]
+                if victim_tag is not None:
+                    del cmap[victim_tag]
+                    if dirty[way]:
+                        service(victim_tag, now, 2, "")
+                tags[way] = block_addr
+                cmap[block_addr] = way
+                dirty[way] = not is_read
+                source[way] = None
+                ready[way] = completion
+                tick += 1
+                touch[way] = tick
+                dd = dev_demand[device_value]
+                if dd is None:
+                    dd = [0, 0, 0, 0]
+                    device_demand[device_names[device_value]] = dd
+                    dev_demand[device_value] = dd
+                dd[0] += 1
+                dd[3] += 1
+                if not is_read:
+                    # Write miss: store buffered, constant latency.
+                    const_seen = True
+                    a_count += 1
+                    delta = hit_latency - a_mean
+                    a_mean += delta / a_count
+                    a_m2 += delta * (hit_latency - a_mean)
+                    continue
+                latency = hit_latency + (completion - now)
+
+            # Variable-latency read (delayed hit or read miss):
+            # full metric recording.
+            a_count += 1
+            delta = latency - a_mean
+            a_mean += delta / a_count
+            a_m2 += delta * (latency - a_mean)
+            if a_min is None or latency < a_min:
+                a_min = latency
+            if a_max is None or latency > a_max:
+                a_max = latency
+            r_count += 1
+            delta = latency - r_mean
+            r_mean += delta / r_count
+            r_m2 += delta * (latency - r_mean)
+            if r_min is None or latency < r_min:
+                r_min = latency
+            if r_max is None or latency > r_max:
+                r_max = latency
+            bucket = int(latency // bucket_width)
+            h_buckets[bucket] = h_buckets.get(bucket, 0) + 1
+            dn = dev_n[device_value]
+            if not dn:
+                dev_order.append(device_value)
+            dn += 1
+            dev_n[device_value] = dn
+            dm = dev_mean[device_value]
+            delta = latency - dm
+            dm += delta / dn
+            dev_mean[device_value] = dm
+            dev_m2[device_value] += delta * (latency - dm)
+            dmn = dev_min[device_value]
+            if dmn is None or latency < dmn:
+                dev_min[device_value] = latency
+            dmx = dev_max[device_value]
+            if dmx is None or latency > dmx:
+                dev_max[device_value] = latency
     finally:
+        dram_sync()
         # Derived counters: every demand-read service is exactly one true
         # miss and one demand fill; the cache tick advanced once per hit
         # (plain or delayed) and once per fill, so the hit count falls out

@@ -70,14 +70,6 @@ class _FastDemandAccess:
 #: the batch engine.
 FALLBACK_REASONS = ("explicit_scalar", "non_lru_policy")
 
-#: ``parallelism="auto"`` runs a trace shorter than this serially: below
-#: it the process pool's start-up and pickling cost more than the four
-#: channels gain.  Measured on CFM, 2 vCPUs, medians of 5: at 24,000
-#: records ``auto`` ran ``none`` at 0.65x the serial rate (bop and
-#: planaria 1.26-1.28x); from 32,000 records all three were at or above
-#: serial (1.02-1.65x).  An explicit worker count is always honoured.
-AUTO_SERIAL_BELOW = 32_768
-
 
 class ChannelSimulator:
     """SC slice + DRAM channel + prefetcher for one channel.
@@ -532,7 +524,7 @@ class SystemSimulator:
         bit-identical to serial execution (see ``docs/parallelism.md``);
         the serial path is used deterministically whenever one worker
         resolves, no pool is available, or ``"auto"`` meets a trace
-        shorter than :data:`AUTO_SERIAL_BELOW` records.
+        shorter than :data:`~repro.sim.executor.AUTO_SERIAL_BELOW` records.
         """
         spans = self.spans
         if spans is None or not spans.enabled:
@@ -557,14 +549,12 @@ class SystemSimulator:
         passed its order check, so a rejected chunk changes no channel."""
         for channel_sim, stream, _ in jobs:
             channel_sim.check_order(stream)
-        short = sum(len(stream) for _, stream, _ in jobs) < AUTO_SERIAL_BELOW
-        if short and str(parallelism).strip().lower() == "auto":
-            parallelism = "serial"
         for channel_sim in self.channels:
             channel_sim._order_checked = True
         try:
             executor = ParallelExecutor(parallelism)
-            if executor.workers_for(len(jobs)) > 1:
+            records = sum(len(stream) for _, stream, _ in jobs)
+            if executor.workers_for(len(jobs), records) > 1:
                 # Workers mutate pickled copies; adopt them as the live
                 # channels.
                 self.channels = executor.run_channels(jobs)
@@ -604,7 +594,7 @@ class SystemSimulator:
         stream.  Any chunking of a trace — including empty chunks — yields
         final state bit-identical to a single :meth:`run` over the whole
         trace.  Feeds always run serially: a chunk is too short to repay a
-        process pool (see :data:`AUTO_SERIAL_BELOW`).
+        process pool (see :data:`~repro.sim.executor.AUTO_SERIAL_BELOW`).
         """
         spans = self.spans
         if spans is None or not spans.enabled:

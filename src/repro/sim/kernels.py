@@ -1,13 +1,13 @@
-"""Vectorized address kernels for the batch engine.
+"""Vectorized address kernel for the batch engine.
 
-Each function is a whole-chunk NumPy counterpart of per-record address
-arithmetic the scalar loop does: one call decomposes an entire
-:class:`~repro.trace.buffer.TraceBuffer` address column.  The outputs are
-handed back as exact Python ints (``ndarray.tolist()`` converts in C), so
-the batch engine's bookkeeping arithmetic is bit-identical to the scalar
-loop — the property suite in ``tests/test_batch_properties.py`` pins each
-kernel element-wise against the scalar helpers in :mod:`repro.geometry`
-and :class:`repro.dram.address_mapping.AddressMapping`.
+:func:`decompose_chunk` is the whole-chunk NumPy counterpart of the
+per-record address arithmetic the scalar loop does: one call decomposes an
+entire :class:`~repro.trace.buffer.TraceBuffer` address column.  The
+outputs are handed back as exact Python ints (``ndarray.tolist()``
+converts in C), so the batch engine's bookkeeping arithmetic is
+bit-identical to the scalar loop — the property suite in
+``tests/test_batch_properties.py`` pins it element-wise against the scalar
+helpers in :mod:`repro.geometry`.
 
 NumPy shift/mask pitfall: an operand like ``2`` next to a ``uint64`` array
 promotes the whole expression to ``float64`` and silently rounds addresses
@@ -25,7 +25,6 @@ from repro.geometry import AddressLayout
 
 __all__ = [
     "decompose_chunk",
-    "dram_bank_rows",
 ]
 
 
@@ -47,32 +46,3 @@ def decompose_chunk(
     return (blocks.tolist(), pages.tolist(), offsets.tolist(),
             chan_blocks.tolist())
 
-
-def dram_bank_rows(
-    addresses: np.ndarray,
-    block_bits: int,
-    column_bits: int,
-    bank_mask: int,
-    bank_bits: int,
-    rank_mask: int,
-    rank_bits: int,
-    num_banks: int,
-) -> Tuple[List[int], List[int]]:
-    """Whole-chunk DRAM bank-index / row decode (see AddressMapping.decode).
-
-    Returns ``(bank_index, row)`` Python-int lists where ``bank_index`` is
-    the flat ``rank * num_banks + bank`` index into ``DRAMChannel.banks``
-    — exactly what ``DRAMChannel.service_scalar`` derives per request.
-    The batch engine precomputes both columns so the demand-miss path
-    reads them instead of running the five-step scalar decode inline.
-    """
-    blocks = addresses >> np.uint64(block_bits)
-    remainder = blocks >> np.uint64(column_bits)
-    bank = remainder & np.uint64(bank_mask)
-    remainder = remainder >> np.uint64(bank_bits)
-    if rank_bits:
-        bank = bank + (remainder & np.uint64(rank_mask)) * np.uint64(num_banks)
-        rows = remainder >> np.uint64(rank_bits)
-    else:
-        rows = remainder
-    return bank.tolist(), rows.tolist()

@@ -178,7 +178,7 @@ def compare_prefetchers(abbr_or_profile,
     config = config or SimConfig.experiment_scale()
     names = list(prefetchers)
     executor = ParallelExecutor(parallelism)
-    if executor.workers_for(len(names)) > 1:
+    if executor.workers_for(len(names), length * len(names)) > 1:
         tasks = [SimulationTask(profile=profile, prefetcher=name,
                                 length=length, seed=seed, config=config)
                  for name in names]

@@ -62,7 +62,7 @@ def sweep_planaria(
     profile = get_profile(app)
     labels = ["none"] + list(variants)
     executor = ParallelExecutor(parallelism)
-    if executor.workers_for(len(labels)) > 1:
+    if executor.workers_for(len(labels), length * len(labels)) > 1:
         tasks = [SimulationTask(profile=profile, prefetcher="none",
                                 length=length, seed=seed, config=config)]
         tasks.extend(

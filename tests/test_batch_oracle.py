@@ -11,8 +11,9 @@ in dict order, metric Welford accumulators down to the last float bit,
 observability timelines, prefetch-lineage collectors down to the fate
 ring).  The matrix covers plain runs, epoch-sliced runs, lineage
 attached, way-partitioned caches (overlapping and non-covering tenant
-masks), both combined under arbitrary ``feed()`` cuts, and checkpoints
-saved on one engine and resumed on the other.
+masks), both combined under arbitrary ``feed()`` cuts, non-default DRAM
+configs (ranks, row policy, scheduler, queue depth, refresh), and
+checkpoints saved on one engine and resumed on the other.
 
 :func:`assert_equivalent` is that comparison, packaged for reuse — the
 property suite (``tests/test_batch_properties.py``) drives the same
@@ -49,6 +50,21 @@ SEED = 13
 #: so only an unpartitioned device (NPU here) ever fills them.
 PARTITIONS = ("CPU:0x00ff", "GPU:0x0ff0")
 TENANT_LENGTH = 1_200
+#: Non-default DRAM configs, each run through the oracle: a second rank
+#: (rank bits in the bank decode), closed-page auto-precharge, strict
+#: arrival-order CAS issue, a two-deep controller queue (stalls) and
+#: refresh off.  HoK writes, and a 16 KB cache evicts enough dirty blocks
+#: that write-backs reach DRAM on the demand-only path too.
+DRAM_VARIANTS = {
+    "two-ranks": {"num_ranks": 2},
+    "closed-page": {"row_policy": "closed"},
+    "fcfs": {"scheduler": "fcfs"},
+    "queue-depth-2": {"queue_depth": 2},
+    "no-refresh": {"refresh_enabled": False},
+}
+DRAM_WORKLOAD = "HoK"
+DRAM_LENGTH = 3_000
+DRAM_CACHE_BYTES = 16 << 10
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +251,19 @@ def tenant_buffer():
     ])
 
 
+def _dram_variant(config, variant):
+    return dataclasses.replace(
+        config,
+        cache=dataclasses.replace(config.cache, size_bytes=DRAM_CACHE_BYTES),
+        dram=dataclasses.replace(config.dram, **DRAM_VARIANTS[variant]))
+
+
+@pytest.fixture(scope="module")
+def dram_buffer(config):
+    return generate_trace_buffer(get_profile(DRAM_WORKLOAD), DRAM_LENGTH,
+                                 seed=SEED, layout=config.layout)
+
+
 # ----------------------------------------------------------------------
 # The matrix the tentpole promises: every prefetcher, both workload
 # generators, obs on/off, chunked and unchunked.
@@ -283,6 +312,36 @@ def test_batch_matches_scalar_partitions_lineage_chunked(
     cuts = (1, 377, 378, 1500, 2899)
     assert_equivalent(partitioned, tenant_buffer, cuts=cuts,
                       prefetcher=prefetcher, lineage=True)
+
+
+@pytest.mark.parametrize("cuts", [(), (1, 377, 378, 1500, 2899)],
+                         ids=["run", "feed"])
+@pytest.mark.parametrize("prefetcher", ["none", "bop", "planaria"])
+@pytest.mark.parametrize("variant", sorted(DRAM_VARIANTS))
+def test_batch_matches_scalar_dram_variants(config, dram_buffer, variant,
+                                            prefetcher, cuts):
+    """The batch DRAM service replays service_scalar under every
+    non-default timing path, on the demand-only and prefetching loops."""
+    assert_equivalent(_dram_variant(config, variant), dram_buffer,
+                      cuts=cuts, prefetcher=prefetcher)
+
+
+def test_dram_variants_reach_their_paths(config, dram_buffer):
+    """Each variant changes the DRAM outcome of a demand-only run, and
+    dirty victims reach DRAM, so the cases above are not vacuous."""
+    def dram_states(dram_config):
+        simulator = _simulator(dram_config, "none", "batch")
+        simulator.run(dram_buffer)
+        assert sum(ch.dram.stats.writebacks for ch in simulator.channels)
+        return [ch.dram.state_dict() for ch in simulator.channels]
+
+    default = dataclasses.replace(
+        config,
+        cache=dataclasses.replace(config.cache, size_bytes=DRAM_CACHE_BYTES))
+    baseline = dram_states(default)
+    for variant in DRAM_VARIANTS:
+        assert dram_states(_dram_variant(config, variant)) != baseline, (
+            variant)
 
 
 @pytest.mark.parametrize("prefetcher", ALL_PREFETCHERS)

@@ -10,15 +10,14 @@ Two layers of pinning, both against scalar ground truth:
   loops.  Each example also draws the cache's tenant way partitions
   (random, possibly overlapping, possibly non-covering masks) and whether
   a lineage collector is attached.
-* **Kernel-level** — every function in :mod:`repro.sim.kernels` pinned
-  element-wise against the scalar helpers it vectorizes
-  (:class:`repro.geometry.AddressLayout` methods,
-  :meth:`repro.dram.address_mapping.AddressMapping.decode`), plus
+* **Kernel-level** — :func:`repro.sim.kernels.decompose_chunk` pinned
+  element-wise against the :class:`repro.geometry.AddressLayout` methods
+  it vectorizes, plus
   :class:`repro.cache.array_state.ArrayCache` under the batch engine
   against :class:`repro.cache.cache.SetAssociativeCache` under the scalar
   loop, on a small cache under random access/invalidate sequences.
 
-Addresses go up to 2**60 in the kernel properties on purpose: a scalar
+Addresses go up to 2**60 in the kernel property on purpose: a scalar
 operand that slips into the NumPy expressions un-wrapped promotes uint64
 columns to float64 and silently rounds addresses above 2**53 — exactly the
 bug class these tests exist to catch.
@@ -31,8 +30,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.cache.array_state import ArrayCache
 from repro.cache.cache import SetAssociativeCache
-from repro.config import CacheConfig, DRAMConfig, SimConfig
-from repro.dram.address_mapping import AddressMapping
+from repro.config import CacheConfig, SimConfig
 from repro.geometry import AddressLayout
 from repro.prefetch.registry import make_prefetcher
 from repro.sim import kernels
@@ -228,26 +226,6 @@ class TestAddressKernels:
             assert chan_block == page * per_segment + offset
             # The outputs must be exact Python ints (dict keys downstream).
             assert type(block) is int and type(chan_block) is int
-
-    @hsettings(max_examples=25, deadline=None)
-    @given(addrs=addresses_column,
-           num_banks=st.sampled_from((4, 8, 16)),
-           num_ranks=st.sampled_from((1, 2)),
-           row_size=st.sampled_from((1024, 2048, 4096)))
-    def test_dram_bank_rows_matches_decode(self, addrs, num_banks,
-                                           num_ranks, row_size):
-        dram = DRAMConfig(num_banks=num_banks, num_ranks=num_ranks,
-                          row_size_bytes=row_size)
-        mapping = AddressMapping(dram, block_size=BLOCK)
-        column = np.asarray(addrs, dtype=np.uint64)
-        bank_col, row_col = kernels.dram_bank_rows(
-            column, LAYOUT.block_bits, mapping._column_bits,
-            mapping._bank_mask, mapping._bank_bits,
-            mapping._rank_mask, mapping._rank_bits, num_banks)
-        for addr, bank_index, row in zip(addrs, bank_col, row_col):
-            decoded = mapping.decode(addr >> LAYOUT.block_bits)
-            assert bank_index == decoded.rank * num_banks + decoded.bank
-            assert row == decoded.row
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,8 @@ exactly equal.
 
 import pytest
 
-from repro.sim.engine import AUTO_SERIAL_BELOW
-from repro.sim.executor import (ParallelExecutor, pool_available,
-                                resolve_parallelism)
+from repro.sim.executor import (AUTO_SERIAL_BELOW, ParallelExecutor,
+                                pool_available, resolve_parallelism)
 from repro.sim.runner import compare_prefetchers, run_workload, simulate
 from repro.trace.generator import generate_trace_buffer, get_profile
 
@@ -91,25 +90,44 @@ def test_auto_mode_matches_serial():
 
 
 def test_auto_runs_short_traces_serially(monkeypatch):
-    """``"auto"`` below ``AUTO_SERIAL_BELOW`` records never starts the
-    channel pool, even when it resolves to several workers; an explicit
-    worker count still reaches it."""
+    """``"auto"`` below ``AUTO_SERIAL_BELOW`` records never starts a pool,
+    at channel or task grain, even when it resolves to several workers;
+    an explicit worker count still reaches it."""
     calls = []
     run_channels = ParallelExecutor.run_channels
+    run_tasks = ParallelExecutor.run_tasks
 
-    def counting(self, jobs):
-        calls.append(self.parallelism)
+    def counting_channels(self, jobs):
+        calls.append(("channels", self.parallelism))
         return run_channels(self, jobs)
 
-    monkeypatch.setattr(ParallelExecutor, "run_channels", counting)
+    def counting_tasks(self, tasks):
+        calls.append(("tasks", self.parallelism))
+        return run_tasks(self, tasks)
+
+    monkeypatch.setattr(ParallelExecutor, "run_channels", counting_channels)
+    monkeypatch.setattr(ParallelExecutor, "run_tasks", counting_tasks)
     monkeypatch.setenv("REPRO_PARALLELISM", "2")
-    buffer = generate_trace_buffer(get_profile(APP), 4_000, seed=SEED)
+    length = 4_000
+    buffer = generate_trace_buffer(get_profile(APP), length, seed=SEED)
     assert len(buffer) < AUTO_SERIAL_BELOW
     serial = simulate(buffer, "planaria", parallelism="serial").metrics
     assert simulate(buffer, "planaria", parallelism="auto").metrics == serial
     assert calls == []
     assert simulate(buffer, "planaria", parallelism=2).metrics == serial
-    assert calls == [2]
+    assert calls == [("channels", 2)]
+
+    names = ("none", "planaria")
+    assert length * len(names) < AUTO_SERIAL_BELOW
+    calls.clear()
+    line_up = compare_prefetchers(APP, names, length=length, seed=SEED,
+                                  parallelism="serial")
+    assert compare_prefetchers(APP, names, length=length, seed=SEED,
+                               parallelism="auto") == line_up
+    assert calls == []
+    assert compare_prefetchers(APP, names, length=length, seed=SEED,
+                               parallelism=2) == line_up
+    assert calls == [("tasks", 2)]
 
 
 class TestResolveParallelism:
