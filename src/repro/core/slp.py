@@ -67,8 +67,9 @@ class SLPPrefetcher(Prefetcher):
     def observe_fields(self, page: int, offset: int, now: int) -> None:
         """:meth:`observe` taking the three consumed fields directly.
 
-        The batch engine's run folding calls this to avoid materialising a
-        :class:`RunAccess` per run; semantics are exactly ``observe``.
+        The batch engine's run folding calls this with a run's fields, so
+        it builds no :class:`DemandAccess` per run; semantics are exactly
+        ``observe``.
         """
         table = self._accumulation_table
         # The front entry is the oldest: expiry has work only when it has

@@ -68,8 +68,8 @@ class TLPPrefetcher(Prefetcher):
     def observe_fields(self, page: int, offset: int, now: int) -> None:
         """:meth:`observe` taking the consumed fields directly (``now`` is
         accepted for signature uniformity with SLP; TLP never reads the
-        clock).  The batch engine's run folding calls this to avoid
-        materialising a :class:`RunAccess` per run."""
+        clock).  The batch engine's run folding calls this with a run's
+        fields, so it builds no :class:`DemandAccess` per run."""
         rpt = self._rpt
         activity = self.activity
         entry = rpt.get(page)

@@ -49,22 +49,6 @@ class DemandAccess:
     device: DeviceID
 
 
-class RunAccess:
-    """Minimal access view handed to :meth:`Prefetcher.observe_run` loops.
-
-    Carries only the fields a run-batchable prefetcher's learning phase
-    reads (page, segment offset, time).  Prefetchers that consume other
-    ``DemandAccess`` fields must not declare ``supports_observe_run``.
-    """
-
-    __slots__ = ("page", "block_in_segment", "time")
-
-    def __init__(self, page: int, block_in_segment: int, time: int) -> None:
-        self.page = page
-        self.block_in_segment = block_in_segment
-        self.time = time
-
-
 class PrefetchCandidate:
     """One block a prefetcher wants brought into the SC.
 
