@@ -36,6 +36,7 @@ class PlanariaPrefetcher(Prefetcher):
     """SLP + TLP under the decoupled coordinator."""
 
     name = "planaria"
+    _LINKS = ("slp", "tlp")
 
     def __init__(self, layout: AddressLayout, channel: int,
                  config: Optional[PlanariaConfig] = None) -> None:

@@ -29,15 +29,13 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.obs.events import (EVENT_KINDS, EVENT_SCHEMA_VERSION, EventTracer,
-                              NULL_TRACER, TraceEvent, merge_events,
-                              wire_tracer)
+                              NULL_TRACER, TraceEvent, merge_events)
 from repro.obs.health import (HEALTH_SCHEMA_VERSION, DetectorVerdict,
                               HealthConfig, HealthEngine, HealthReport)
 from repro.obs.lineage import (LINEAGE_SCHEMA_VERSION, LineageCollector,
                                SystemLineage, attach_lineage, detach_lineage,
                                fate_events_to_chrome, lineage_consistent,
-                               merge_lineage_summaries, wire_lineage,
-                               write_fate_trace)
+                               merge_lineage_summaries, write_fate_trace)
 from repro.obs.timeline import (DEFAULT_EPOCH_RECORDS,
                                 TIMELINE_SCHEMA_VERSION, EpochRecord,
                                 TimelineCollector, capture_channel,
@@ -57,8 +55,8 @@ __all__ = [
     "attach_observability", "capture_channel", "chrome_to_spans",
     "detach_lineage", "detach_observability", "fate_events_to_chrome",
     "lineage_consistent", "merge_events", "merge_lineage_summaries",
-    "merge_timelines", "spans_to_chrome", "wire_lineage",
-    "write_chrome_trace", "write_fate_trace",
+    "merge_timelines", "spans_to_chrome", "write_chrome_trace",
+    "write_fate_trace",
 ]
 
 #: Default ring-buffer capacity per channel tracer.
@@ -97,12 +95,12 @@ def attach_observability(simulator, config: Optional[ObsConfig] = None,
                 channel=channel_sim.channel,
                 capacity=config.event_capacity,
                 sample_interval=config.event_sample_interval)
-            wire_tracer(channel_sim.prefetcher, tracer)
         collector = TimelineCollector(
             channel=channel_sim.channel,
             epoch_records=config.epoch_records,
             tracer=tracer)
         channel_sim.obs = collector
+        channel_sim.wire_hooks()
         collector.begin(channel_sim)
     return SystemObservability(simulator, config)
 
@@ -111,7 +109,7 @@ def detach_observability(simulator) -> None:
     """Remove collectors and restore the shared no-op tracer."""
     for channel_sim in simulator.channels:
         channel_sim.obs = None
-        wire_tracer(channel_sim.prefetcher, NULL_TRACER)
+        channel_sim.wire_hooks()
 
 
 class SystemObservability:

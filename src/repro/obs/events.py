@@ -162,29 +162,6 @@ def _resolve_null_tracer() -> "_NullTracer":
 NULL_TRACER = _NullTracer()
 
 
-def wire_tracer(prefetcher, tracer) -> None:
-    """Point a prefetcher (and everything it wraps or contains) at one
-    tracer.
-
-    Used at attach/detach time, and again after a prefetcher state
-    restore: ``Prefetcher.load_state`` replaces nested sub-prefetcher
-    objects wholesale, so their ``tracer`` references become orphan deep
-    copies unless re-pointed at the live collector's tracer.
-    """
-    seen = set()
-    stack = [prefetcher]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        node.tracer = tracer
-        for attr in ("inner", "slp", "tlp"):
-            child = getattr(node, attr, None)
-            if child is not None and hasattr(child, "observe"):
-                stack.append(child)
-
-
 def merge_events(tracers: Iterable[EventTracer]) -> List[TraceEvent]:
     """All retained events across tracers in (time, channel, seq) order."""
     merged: List[TraceEvent] = []

@@ -447,39 +447,8 @@ class LineageCollector:
 
 
 # ----------------------------------------------------------------------
-# Wiring
+# Attach / detach
 # ----------------------------------------------------------------------
-def wire_lineage(prefetcher, collector: Optional[LineageCollector]) -> None:
-    """Point a prefetcher chain's lineage hooks at ``collector``.
-
-    Walks the same composition attributes :func:`~repro.obs.events.wire_tracer`
-    does (``inner`` wrappers, Planaria's ``slp``/``tlp``), so nested
-    issue-path hooks and the throttle's suppression gate all report to
-    the channel's one collector.  Pass ``None`` to unwire.
-    """
-    stack = [prefetcher]
-    while stack:
-        link = stack.pop()
-        if link is None:
-            continue
-        link.lineage = collector
-        for attr in ("inner", "slp", "tlp"):
-            nested = getattr(link, attr, None)
-            if nested is not None:
-                stack.append(nested)
-
-
-def wire_channel_lineage(channel_sim,
-                         collector: Optional[LineageCollector]) -> None:
-    """Install (or remove) a collector on every hook point of one
-    channel: the engine, the prefetch queue, the cache backend and the
-    prefetcher chain."""
-    channel_sim.lineage = collector
-    channel_sim.queue.lineage = collector
-    channel_sim.cache.lineage = collector
-    wire_lineage(channel_sim.prefetcher, collector)
-
-
 def attach_lineage(simulator,
                    event_capacity: int = DEFAULT_FATE_EVENT_CAPACITY,
                    snapshot_track_capacity: int =
@@ -487,22 +456,24 @@ def attach_lineage(simulator,
     """Enable lineage collection on a live ``SystemSimulator``.
 
     Builds one :class:`LineageCollector` per channel and wires it into
-    the channel's hook points.  Attach before driving records; attaching
-    never changes simulated state, ``RunMetrics`` or the engine a chunk
-    runs on.
+    the channel's hook points (``ChannelSimulator.wire_hooks``).  Attach
+    before driving records; attaching never changes simulated state,
+    ``RunMetrics`` or the engine a chunk runs on.
     """
     for channel_sim in simulator.channels:
-        wire_channel_lineage(channel_sim, LineageCollector(
+        channel_sim.lineage = LineageCollector(
             channel=channel_sim.channel,
             event_capacity=event_capacity,
-            snapshot_track_capacity=snapshot_track_capacity))
+            snapshot_track_capacity=snapshot_track_capacity)
+        channel_sim.wire_hooks()
     return SystemLineage(simulator)
 
 
 def detach_lineage(simulator) -> None:
     """Remove every channel's collector and unwire the hooks."""
     for channel_sim in simulator.channels:
-        wire_channel_lineage(channel_sim, None)
+        channel_sim.lineage = None
+        channel_sim.wire_hooks()
 
 
 class SystemLineage:

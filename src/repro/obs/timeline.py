@@ -30,7 +30,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.events import EventTracer, NULL_TRACER, wire_tracer
+from repro.obs.events import EventTracer
 
 #: Bump on any incompatible change to the EpochRecord layout.
 TIMELINE_SCHEMA_VERSION = 1
@@ -164,16 +164,6 @@ class EpochRecord:
         return cls(**payload)
 
 
-def _chain(prefetcher) -> List[Any]:
-    """A prefetcher and its wrapped inners, outermost first."""
-    chain = [prefetcher]
-    while True:
-        inner = getattr(chain[-1], "inner", None)
-        if inner is None:
-            return chain
-        chain.append(inner)
-
-
 def capture_channel(sim) -> dict:
     """One cumulative counter snapshot of a :class:`ChannelSimulator`.
 
@@ -238,7 +228,7 @@ def capture_channel(sim) -> dict:
     coord_slp = coord_tlp = coord_neither = 0
     suspensions = 0
     suspended = 0
-    for link in _chain(sim.prefetcher):
+    for link in sim.prefetcher.chain():
         slp_issued += getattr(link, "slp_issues", 0)
         tlp_issued += getattr(link, "tlp_issues", 0)
         coord_slp += getattr(link, "coord_slp_issued", 0)
@@ -386,15 +376,6 @@ class TimelineCollector:
         self._baseline = dict(baseline) if baseline is not None else None
         if self.tracer is not None and state["tracer"] is not None:
             self.tracer.load_state(state["tracer"])
-
-    def rewire(self, sim) -> None:
-        """Re-point the channel's prefetcher chain at this collector's
-        tracer.  Needed after a prefetcher state restore: ``load_state``
-        replaces nested sub-prefetcher objects, whose ``tracer``
-        references would otherwise be orphan deep copies and their
-        events lost."""
-        wire_tracer(sim.prefetcher,
-                    self.tracer if self.tracer is not None else NULL_TRACER)
 
 
 def _merge_into(target: EpochRecord, part: EpochRecord) -> None:

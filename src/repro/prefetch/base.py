@@ -107,11 +107,16 @@ class Prefetcher(abc.ABC):
     #: on a subclass whose learning and issuing phases touch nothing.
     passive = False
 
-    #: Lineage collector hook (repro.obs.lineage).  A class attribute so
-    #: unwired prefetchers carry no extra per-instance state; issue-path
-    #: hook sites guard with ``self.lineage is not None``, which is off
-    #: the per-record fast loop entirely.
+    #: Event tracer and lineage collector hooks (repro.obs), set on each
+    #: :meth:`chain` link by ``ChannelSimulator.wire_hooks``.  Class
+    #: attributes, so unwired prefetchers carry no per-instance state;
+    #: hook sites guard with ``tracer.enabled`` / ``lineage is not
+    #: None``, off the per-record fast loop entirely.
+    tracer = NULL_TRACER
     lineage = None
+
+    #: Attributes holding the prefetchers this one composes.
+    _LINKS = ()
 
     def __init__(self, layout: AddressLayout, channel: int) -> None:
         if not 0 <= channel < layout.num_channels:
@@ -129,11 +134,17 @@ class Prefetcher(abc.ABC):
         # offsets from 16-bit bitmap positions, both validated on entry.
         self._page_shift = layout.page_bits - layout.block_bits
         self._channel_bits = channel << layout.segment_bits
-        #: Event tracer (repro.obs).  The shared no-op singleton by
-        #: default; emission sites guard with ``tracer.enabled`` so a
-        #: disabled trace point costs one attribute load and one branch
-        #: on paths already off the per-record fast loop.
-        self.tracer = NULL_TRACER
+
+    def chain(self) -> List["Prefetcher"]:
+        """This prefetcher and every prefetcher it composes, each once,
+        outermost first (e.g. throttle, planaria, slp, tlp)."""
+        links = [self]
+        for link in links:
+            for attr in link._LINKS:
+                nested = getattr(link, attr)
+                if nested not in links:
+                    links.append(nested)
+        return links
 
     # ------------------------------------------------------------------
     # The learning / issuing split
@@ -162,28 +173,31 @@ class Prefetcher(abc.ABC):
     # Checkpoint support
     # ------------------------------------------------------------------
     #: Instance attributes excluded from :meth:`state_dict` — immutable
-    #: construction parameters a freshly built prefetcher already carries,
-    #: plus the observability hooks (tracer, lineage): their state is
-    #: checkpointed by the owning collector, and excluding them here keeps
-    #: the hook objects aliased with those collectors across load_state.
+    #: construction parameters a freshly built prefetcher already
+    #: carries, plus this link's own hooks (the target keeps its own).
     _STATE_EXCLUDE = ("layout", "tracer", "lineage", "_page_shift",
                       "_channel_bits")
 
     def state_dict(self) -> dict:
-        """Deep snapshot of all mutable prefetcher state.
+        """Deep snapshot of all mutable prefetcher state, hooks excluded.
 
         The default implementation captures the whole instance dict (minus
         :attr:`_STATE_EXCLUDE`) in one :func:`copy.deepcopy` pass — one
         memo, so intra-state sharing (e.g. a composite prefetcher holding
         its sub-prefetchers both as attributes and in a list) survives the
-        round trip.  The parallel executor already relies on these objects
-        pickling bit-exactly, so a deep copy is a faithful snapshot for
-        every registered prefetcher, wrappers included.
+        round trip.  The memo maps every :meth:`chain` link's hooks to
+        ``NULL_TRACER``/``None``, so no hook object is copied at any
+        depth: collectors checkpoint themselves, and
+        ``ChannelSimulator.load_state`` re-wires the restored chain.
         """
+        memo: dict = {}
+        for link in self.chain():
+            memo[id(link.tracer)] = NULL_TRACER
+            memo[id(link.lineage)] = None
         return copy.deepcopy({
             key: value for key, value in self.__dict__.items()
             if key not in self._STATE_EXCLUDE
-        })
+        }, memo)
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot.

@@ -28,6 +28,8 @@ from repro.prefetch.base import DemandAccess, PrefetchCandidate, Prefetcher
 class AccuracyThrottle(Prefetcher):
     """Usefulness-gated wrapper around another prefetcher."""
 
+    _LINKS = ("inner",)
+
     def __init__(self, inner: Prefetcher,
                  window: int = 128,
                  low_watermark: float = 0.35,

@@ -24,6 +24,7 @@ from typing import Optional, Union
 
 from repro.config import SimConfig
 from repro.errors import CheckpointError, CheckpointMismatchError
+from repro.obs import attach_lineage, attach_observability
 from repro.prefetch.registry import make_prefetcher
 from repro.sim.engine import SystemSimulator
 # Re-exported: the fingerprint moved to the shared provenance helper so
@@ -147,29 +148,42 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     return payload
 
 
+def build_simulator(prefetcher: str, config: SimConfig,
+                    extra: Optional[dict] = None) -> SystemSimulator:
+    """A fresh registry-built simulator with every hook ``extra`` names.
+
+    ``extra`` uses :attr:`Checkpoint.extra`'s vocabulary:
+    ``epoch_records`` attaches timelines and events, ``lineage`` attaches
+    lineage.  New sessions and restores both build here.
+    """
+    simulator = SystemSimulator(
+        config, lambda layout, channel: make_prefetcher(prefetcher, layout,
+                                                        channel))
+    extra = extra or {}
+    if extra.get("epoch_records"):
+        attach_observability(simulator,
+                             epoch_records=int(extra["epoch_records"]))
+    if extra.get("lineage"):
+        attach_lineage(simulator)
+    return simulator
+
+
 def restore_simulator(checkpoint: Checkpoint,
                       prefetcher: Optional[str] = None,
                       config: Optional[SimConfig] = None) -> SystemSimulator:
     """Rebuild a live simulator from a checkpoint, mid-trace state loaded.
 
-    A checkpoint written by an observed session carries its epoch size in
-    ``extra["epoch_records"]``; collectors are re-attached *before* the
-    state loads so each channel's timeline resumes where it left off.
-    Passing ``prefetcher``/``config`` asserts the engine the caller
-    expects to restore into; a fingerprint mismatch raises
+    The one restore path (``Session.from_checkpoint`` builds on it):
+    every hook ``checkpoint.extra`` names is re-attached *before* the
+    state loads, so each collector resumes where its session left off.
+    Request spans are not simulator state; a tracing caller re-attaches
+    its recorder.  Passing ``prefetcher``/``config`` asserts the engine
+    the caller expects to restore into; a fingerprint mismatch raises
     :class:`~repro.errors.CheckpointMismatchError` before any state loads.
     """
     validate_restore("<restore>", checkpoint, prefetcher=prefetcher,
                      config=config)
-    simulator = SystemSimulator(
-        checkpoint.config,
-        lambda layout, channel: make_prefetcher(checkpoint.prefetcher,
-                                                layout, channel),
-    )
-    epoch_records = checkpoint.extra.get("epoch_records")
-    if epoch_records:
-        from repro.obs import attach_observability
-
-        attach_observability(simulator, epoch_records=int(epoch_records))
+    simulator = build_simulator(checkpoint.prefetcher, checkpoint.config,
+                                checkpoint.extra)
     simulator.load_state(checkpoint.state)
     return simulator

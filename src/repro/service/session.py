@@ -38,15 +38,14 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 from repro.config import SimConfig
 from repro.errors import (ServiceError, SessionExistsError,
                           SessionNotFoundError)
-from repro.obs import (SystemLineage, SystemObservability, attach_lineage,
-                       attach_observability)
+from repro.obs import ObsConfig, SystemLineage, SystemObservability
 from repro.obs.events import TraceEvent
 from repro.obs.health import HealthConfig, HealthEngine, HealthReport
 from repro.obs.timeline import EpochRecord
 from repro.obs.trace_spans import (NULL_SPANS, SPAN_FEED_CHUNK,
                                    SPAN_FIFO_WAIT, SpanRecorder, now_us)
-from repro.prefetch.registry import make_prefetcher
-from repro.service.checkpoint import (Checkpoint, load_checkpoint,
+from repro.service.checkpoint import (Checkpoint, build_simulator,
+                                      load_checkpoint, restore_simulator,
                                       save_checkpoint, validate_restore)
 from repro.sim.engine import SystemSimulator
 from repro.sim.metrics import RunMetrics
@@ -75,23 +74,32 @@ class Session:
                  config: SimConfig,
                  warmup_records: Optional[Sequence[int]] = None,
                  epoch_records: Optional[int] = None,
-                 lineage: bool = False) -> None:
+                 lineage: bool = False,
+                 simulator: Optional[SystemSimulator] = None) -> None:
+        """``simulator`` is a restored one that already carries these
+        hooks (see :meth:`from_checkpoint`); by default a fresh one is
+        built with them."""
         self.name = name
         self.prefetcher = prefetcher
         self.workload = workload
         self.config = config
-        self.simulator = SystemSimulator(
-            config, lambda layout, channel: make_prefetcher(prefetcher,
-                                                            layout, channel))
-        self.epoch_records = epoch_records
+        #: The hooks this session carries, in ``Checkpoint.extra`` terms.
+        self.extra: dict = {}
+        if epoch_records:
+            self.extra["epoch_records"] = int(epoch_records)
+        if lineage:
+            self.extra["lineage"] = True
+        if simulator is None:
+            simulator = build_simulator(prefetcher, config, self.extra)
+            if warmup_records is not None:
+                simulator.set_stream_warmup(warmup_records)
+        self.simulator = simulator
         self.obs: Optional[SystemObservability] = None
         if epoch_records:
-            self.obs = attach_observability(self.simulator,
-                                            epoch_records=int(epoch_records))
+            self.obs = SystemObservability(
+                simulator, ObsConfig(epoch_records=int(epoch_records)))
         self.lineage: Optional[SystemLineage] = (
-            attach_lineage(self.simulator) if lineage else None)
-        if warmup_records is not None:
-            self.simulator.set_stream_warmup(warmup_records)
+            SystemLineage(simulator) if lineage else None)
         self.records_fed = 0
         self.chunks_fed = 0
         self.last_active = time.monotonic()
@@ -110,42 +118,19 @@ class Session:
 
     @classmethod
     def from_checkpoint(cls, name: str, checkpoint: Checkpoint) -> "Session":
-        session = cls.__new__(cls)
-        session.name = name
-        session.prefetcher = checkpoint.prefetcher
-        session.workload = checkpoint.workload
-        session.config = checkpoint.config
-        # Observability must attach *before* load_state so each channel's
-        # "obs" state entry restores into a live collector (the restored
-        # session's timeline then continues the original's epoch stream).
-        session.simulator = SystemSimulator(
-            checkpoint.config,
-            lambda layout, channel: make_prefetcher(checkpoint.prefetcher,
-                                                    layout, channel))
-        session.epoch_records = checkpoint.extra.get("epoch_records")
-        session.obs = None
-        if session.epoch_records:
-            session.obs = attach_observability(
-                session.simulator, epoch_records=int(session.epoch_records))
-        # Lineage, like obs, attaches before load_state so each channel's
-        # "lineage" state entry restores into a live collector.
-        session.lineage = (attach_lineage(session.simulator)
-                           if checkpoint.extra.get("lineage") else None)
-        session.simulator.load_state(checkpoint.state)
-        if session.obs is not None and session.obs.system_tracer.enabled:
+        """Resume a session from :func:`restore_simulator`'s simulator,
+        which carries every hook the checkpoint names."""
+        session = cls(name, checkpoint.prefetcher, checkpoint.workload,
+                      checkpoint.config,
+                      epoch_records=checkpoint.extra.get("epoch_records"),
+                      lineage=bool(checkpoint.extra.get("lineage")),
+                      simulator=restore_simulator(checkpoint))
+        session.records_fed = checkpoint.records_fed
+        session.chunks_fed = checkpoint.chunks_fed
+        if session.obs is not None:
             session.obs.system_tracer.emit(
                 "checkpoint_restored", session._now(),
                 records_fed=checkpoint.records_fed)
-        session.records_fed = checkpoint.records_fed
-        session.chunks_fed = checkpoint.chunks_fed
-        session.last_active = time.monotonic()
-        session.last_progress = time.monotonic()
-        session.cond = threading.Condition()
-        session.pending = deque()
-        session.inflight = 0
-        session.drainer_scheduled = False
-        session.closed = False
-        session.error = None
         return session
 
     def _now(self) -> int:
@@ -154,11 +139,6 @@ class Session:
                     for channel_sim in self.simulator.channels), default=0)
 
     def to_checkpoint(self) -> Checkpoint:
-        extra = {}
-        if self.epoch_records:
-            extra["epoch_records"] = int(self.epoch_records)
-        if self.lineage is not None:
-            extra["lineage"] = True
         checkpoint = Checkpoint(
             prefetcher=self.prefetcher,
             workload=self.workload,
@@ -166,11 +146,11 @@ class Session:
             records_fed=self.records_fed,
             chunks_fed=self.chunks_fed,
             state=self.simulator.state_dict(),
-            extra=extra,
+            extra=dict(self.extra),
         )
         # Stamped after state_dict: the event records the save in the live
         # session, not inside the checkpoint being written.
-        if self.obs is not None and self.obs.system_tracer.enabled:
+        if self.obs is not None:
             self.obs.system_tracer.emit("checkpoint_saved", self._now(),
                                         records_fed=self.records_fed)
         return checkpoint
@@ -255,11 +235,16 @@ class SessionManager:
             if path is None or not path.exists():
                 raise SessionNotFoundError(name)
             session = Session.from_checkpoint(name, load_checkpoint(path))
-            if self.spans.enabled:
-                session.simulator.spans = self.spans
-            self._sessions[name] = session
             self.sessions_resumed += 1
-            return session
+            return self._admit(session)
+
+    def _admit(self, session: Session) -> Session:
+        """Make ``session`` live (caller holds ``_lock``), tracing it with
+        the manager's span recorder."""
+        if self.spans.enabled:
+            session.simulator.spans = self.spans
+        self._sessions[session.name] = session
+        return session
 
     def open(self, name: str, prefetcher: str, workload: str = "stream",
              config: Optional[SimConfig] = None,
@@ -306,9 +291,7 @@ class SessionManager:
                     epoch_records=epoch_records,
                     lineage=lineage)
                 self.sessions_opened += 1
-            if self.spans.enabled:
-                session.simulator.spans = self.spans
-            self._sessions[name] = session
+            self._admit(session)
         return session.snapshot()
 
     # ------------------------------------------------------------------

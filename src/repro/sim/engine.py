@@ -28,6 +28,7 @@ from repro.config import SimConfig
 from repro.dram.channel import DRAMChannel
 from repro.dram.request import RequestKind
 from repro.errors import SimulationError, TraceOrderError
+from repro.obs.events import NULL_TRACER
 from repro.power.model import MemorySystemPower
 from repro.power.prefetcher_power import PrefetcherActivity
 from repro.prefetch.base import Prefetcher
@@ -69,6 +70,9 @@ class _FastDemandAccess:
 #: non-LRU replacement policy.  A batch-mode simulator runs every chunk on
 #: the batch engine.
 FALLBACK_REASONS = ("explicit_scalar", "non_lru_policy")
+
+#: Collector attributes of a channel, each checkpointed under its name.
+HOOKS = ("obs", "lineage")
 
 
 class ChannelSimulator:
@@ -428,10 +432,10 @@ class ChannelSimulator:
             "metrics": self.metrics.state_dict(),
             "prefetcher": self.prefetcher.state_dict(),
         }
-        if self.obs is not None:
-            state["obs"] = self.obs.state_dict()
-        if self.lineage is not None:
-            state["lineage"] = self.lineage.state_dict()
+        for hook in HOOKS:
+            collector = getattr(self, hook)
+            if collector is not None:
+                state[hook] = collector.state_dict()
         return state
 
     def load_state(self, state: dict) -> None:
@@ -449,22 +453,31 @@ class ChannelSimulator:
         self.queue.load_state(state["queue"])
         self.metrics.load_state(state["metrics"])
         self.prefetcher.load_state(state["prefetcher"])
-        obs_state = state.get("obs")
-        if obs_state is not None and self.obs is not None:
-            self.obs.load_state(obs_state)
-        if self.obs is not None:
-            # Restoring replaced nested sub-prefetcher objects; point the
-            # chain back at the live tracer so no events land in orphans.
-            self.obs.rewire(self)
-        if self.lineage is not None:
-            lineage_state = state.get("lineage")
-            if lineage_state is not None:
-                self.lineage.load_state(lineage_state)
-            # Same rewire concern as obs: load_state replaced nested
-            # sub-prefetcher objects, whose deep-copied lineage attrs now
-            # point at orphan collector copies.
-            from repro.obs.lineage import wire_lineage
-            wire_lineage(self.prefetcher, self.lineage)
+        for hook in HOOKS:
+            collector = getattr(self, hook)
+            if collector is not None and hook in state:
+                collector.load_state(state[hook])
+        self.wire_hooks()
+
+    def wire_hooks(self) -> None:
+        """Point the queue, the cache and every prefetcher-chain link at
+        this channel's collectors (attach, detach and :meth:`load_state`
+        all end here)."""
+        lineage = self.lineage
+        tracer = NULL_TRACER
+        if self.obs is not None and self.obs.tracer is not None:
+            tracer = self.obs.tracer
+        self.queue.lineage = lineage
+        self.cache.lineage = lineage
+        # Only changed hooks are set, so a restored unwired chain keeps
+        # the state of one never wired.  Hooks are assigned, never popped
+        # from ``vars(link)``: on CPython 3.11 popping them slowed every
+        # later record by about 5% (bop) and 8% (planaria).
+        for link in self.prefetcher.chain():
+            if link.tracer is not tracer:
+                link.tracer = tracer
+            if link.lineage is not lineage:
+                link.lineage = lineage
 
 
 def channel_warmup_counts(records: TraceLike, config: SimConfig) -> List[int]:

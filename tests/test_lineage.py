@@ -23,7 +23,7 @@ from repro.errors import ServiceError
 from repro.obs.lineage import (LineageCollector, attach_lineage,
                                detach_lineage, fate_events_to_chrome,
                                lineage_consistent, merge_lineage_summaries,
-                               wire_lineage, write_fate_trace)
+                               write_fate_trace)
 from repro.prefetch.base import PrefetchCandidate
 from repro.prefetch.queue import PrefetchQueue, QueueStats
 from repro.prefetch.registry import make_prefetcher
@@ -347,18 +347,6 @@ class TestQueueDropOrigins:
 
 
 class TestWiring:
-    def test_wire_lineage_reaches_nested_prefetchers(self):
-        config = SimConfig.experiment_scale()
-        prefetcher = make_prefetcher("planaria-throttled", config.layout, 0)
-        collector = LineageCollector(channel=0)
-        wire_lineage(prefetcher, collector)
-        assert prefetcher.lineage is collector
-        assert prefetcher.inner.lineage is collector
-        assert prefetcher.inner.slp.lineage is collector
-        assert prefetcher.inner.tlp.lineage is collector
-        wire_lineage(prefetcher, None)
-        assert prefetcher.inner.slp.lineage is None
-
     def test_merge_of_empty_is_zeroed(self):
         merged = merge_lineage_summaries([])
         assert merged["totals"]["issued"] == 0
@@ -370,11 +358,7 @@ class TestFateEvents:
     def test_ring_is_bounded(self):
         buffer = trace()
         simulator = make_simulator()
-        for channel_sim in simulator.channels:
-            from repro.obs.lineage import wire_channel_lineage
-
-            wire_channel_lineage(channel_sim, LineageCollector(
-                channel=channel_sim.channel, event_capacity=8))
+        attach_lineage(simulator, event_capacity=8)
         simulator.run(buffer)
         for channel_sim in simulator.channels:
             assert len(channel_sim.lineage.events()) <= 8

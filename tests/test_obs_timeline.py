@@ -9,13 +9,12 @@ The contracts under test, in order of importance:
   list are bit-identical between serial and parallel runs, and between
   one-shot offline runs and chunked streaming feeds (with the stream
   warmup fixed up front, same as the metrics contract).
-* **Checkpoint continuity** — a timeline survives a ``state_dict`` /
-  ``load_state`` round trip mid-stream and continues bit-identically.
 * **Internal consistency** — epoch deltas telescope back to the run's
   cumulative totals.
-* **Tracing neutrality** — attaching a span recorder
-  (:class:`~repro.obs.trace_spans.SpanRecorder`) changes neither the
-  metrics nor the timeline nor the event stream, in any execution mode.
+
+Checkpoint continuity and tracing neutrality (a span recorder changes
+neither metrics, timeline nor events) are checked with every other hook
+and mode by ``tests/test_hook_neutrality.py``.
 """
 
 import functools
@@ -147,100 +146,6 @@ class TestExecutionModeEquivalence:
             assert obs.merged_timeline(include_partial=True) == polls[-1]
         assert polls[-1] == offline_obs.merged_timeline(include_partial=True)
         assert collect_metrics(sim, "CFM", "planaria") == _plain_metrics()
-
-
-class TestCheckpointContinuity:
-    def test_timeline_survives_state_roundtrip(self):
-        _, offline_obs = _observed()
-        trace = _trace()
-        warmup = channel_warmup_counts(trace, _config())
-
-        source = _simulator()
-        attach_observability(source, epoch_records=EPOCH_RECORDS)
-        source.set_stream_warmup(warmup)
-        source.feed(trace[:LENGTH // 2])
-        saved = source.state_dict()
-        source.feed(trace[LENGTH // 2:])  # source keeps running: deep copy
-
-        resumed = _simulator()
-        obs = attach_observability(resumed, epoch_records=EPOCH_RECORDS)
-        resumed.load_state(saved)
-        resumed.feed(trace[LENGTH // 2:])
-        assert obs.merged_timeline() == offline_obs.merged_timeline()
-        assert obs.events() == offline_obs.events()
-        assert collect_metrics(resumed, "CFM", "planaria") == _plain_metrics()
-
-
-class TestTracingNeutrality:
-    """Span tracing on vs off: RunMetrics and timelines bit-identical.
-
-    Spans read only the wall clock, so an observed *and traced* run must
-    reproduce the reference observed run exactly — for one-shot offline
-    runs, chunked streaming feeds, parallel runs, and a checkpoint-resume
-    stream.  (Pure recorder semantics live in tests/test_obs_spans.py;
-    this class pins the engine-level contract the service relies on.)
-    """
-
-    @staticmethod
-    def _traced_simulator():
-        from repro.obs.trace_spans import SpanRecorder
-
-        sim = _simulator()
-        obs = attach_observability(sim, epoch_records=EPOCH_RECORDS)
-        sim.spans = SpanRecorder()
-        return sim, obs
-
-    def test_offline_traced_matches_untraced(self):
-        _, reference_obs = _observed()
-        sim, obs = self._traced_simulator()
-        sim.run(_trace())
-        assert collect_metrics(sim, "CFM", "planaria") == _plain_metrics()
-        assert obs.merged_timeline() == reference_obs.merged_timeline()
-        assert obs.events() == reference_obs.events()
-        assert sim.spans.summary()["engine.run"]["count"] == 1
-
-    def test_streaming_traced_matches_untraced(self):
-        _, reference_obs = _observed()
-        sim, obs = self._traced_simulator()
-        sim.set_stream_warmup(channel_warmup_counts(_trace(), _config()))
-        trace = _trace()
-        for start in range(0, len(trace), CHUNK):
-            sim.feed(trace[start:start + CHUNK])
-        assert collect_metrics(sim, "CFM", "planaria") == _plain_metrics()
-        assert obs.merged_timeline() == reference_obs.merged_timeline()
-        assert obs.events() == reference_obs.events()
-        assert sim.spans.summary()["engine.feed"]["count"] == \
-            -(-LENGTH // CHUNK)
-
-    def test_parallel_traced_matches_untraced(self):
-        _, reference_obs = _observed()
-        sim, obs = self._traced_simulator()
-        sim.run(_trace(), parallelism=2)
-        assert collect_metrics(sim, "CFM", "planaria") == _plain_metrics()
-        assert obs.merged_timeline() == reference_obs.merged_timeline()
-        assert obs.events() == reference_obs.events()
-
-    def test_checkpoint_resume_traced_writer_untraced_reader(self):
-        """A checkpoint written by a traced run loads in an *untraced*
-        process and continues bit-identically: the span recorder never
-        enters the simulator state."""
-        _, reference_obs = _observed()
-        trace = _trace()
-        warmup = channel_warmup_counts(trace, _config())
-
-        source, _ = self._traced_simulator()
-        source.set_stream_warmup(warmup)
-        source.feed(trace[:LENGTH // 2])
-        saved = source.state_dict()
-
-        resumed = _simulator()
-        obs = attach_observability(resumed, epoch_records=EPOCH_RECORDS)
-        resumed.load_state(saved)
-        assert resumed.spans is None  # tracing did not ride the checkpoint
-        resumed.feed(trace[LENGTH // 2:])
-        assert collect_metrics(resumed, "CFM", "planaria") == _plain_metrics()
-        assert obs.merged_timeline() == reference_obs.merged_timeline()
-        assert obs.events() == reference_obs.events()
 
 
 class TestInternalConsistency:
