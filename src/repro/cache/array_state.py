@@ -20,7 +20,7 @@ bit-for-bit* — the oracle harness in ``tests/test_batch_oracle.py``
 compares the two engines' snapshots field-by-field after arbitrary access
 histories — and either class restores the other's snapshots.
 
-Only LRU is supported: the batch engine's run-length bookkeeping relies on
+Only LRU is supported: the batch engine's inlined bookkeeping relies on
 the one-tick-per-access LRU contract.  Other policies stay on the scalar
 cache (``engine_mode="auto"`` falls back automatically).
 """

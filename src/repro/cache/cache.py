@@ -176,9 +176,6 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Lookup helpers
     # ------------------------------------------------------------------
-    def _set_index(self, block_addr: int) -> int:
-        return block_addr & self._set_mask
-
     def _find_way_linear(self, ways: List[CacheBlock], block_addr: int) -> int:
         """Reference O(associativity) lookup, kept for coherence tests."""
         for index, block in enumerate(ways):

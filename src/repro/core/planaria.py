@@ -86,25 +86,6 @@ class PlanariaPrefetcher(Prefetcher):
     def skip_hit_triggers(self, count: int) -> None:
         self.coord_neither += count
 
-    def supports_observe_run(self) -> bool:
-        # The serial coordinator branches per access on has_pattern(),
-        # which SLP expiry can flip mid-run — no sound batched form.
-        return (self.config.coordinator != "serial"
-                and self.slp.supports_observe_run()
-                and self.tlp.supports_observe_run())
-
-    def observe_run(self, page: int, offsets, times) -> None:
-        if len(offsets) == 1:
-            # The batch loop flushes its open run at every miss, so most
-            # runs hold one access: skip the sub-prefetchers' run wrappers.
-            offset = offsets[0]
-            now = times[0]
-            self.slp.observe_fields(page, offset, now)
-            self.tlp.observe_fields(page, offset, now)
-            return
-        self.slp.observe_run(page, offsets, times)
-        self.tlp.observe_run(page, offsets, times)
-
     def issue(self, access: DemandAccess, was_hit: bool,
               prefetched_hit: bool = False) -> List[PrefetchCandidate]:
         mode = self.config.coordinator

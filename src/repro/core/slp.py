@@ -65,12 +65,8 @@ class SLPPrefetcher(Prefetcher):
         self.observe_fields(access.page, access.block_in_segment, access.time)
 
     def observe_fields(self, page: int, offset: int, now: int) -> None:
-        """:meth:`observe` taking the three consumed fields directly.
-
-        The batch engine's run folding calls this with a run's fields, so
-        it builds no :class:`DemandAccess` per run; semantics are exactly
-        ``observe``.
-        """
+        """:meth:`observe` taking the three consumed fields directly
+        (Planaria reads them once for both sub-prefetchers)."""
         table = self._accumulation_table
         # The front entry is the oldest: expiry has work only when it has
         # timed out, so test it here before paying for the call.
@@ -114,47 +110,6 @@ class SLPPrefetcher(Prefetcher):
         # issue() returns before any table/counter touch on hits when
         # issuing is miss-only (the paper's configuration).
         return self.config.issue_on_miss_only
-
-    def supports_observe_run(self) -> bool:
-        # Batched expiry re-stamps nothing, but tracer events would carry
-        # the run-end time instead of the per-access expiry time.
-        return not self.tracer.enabled
-
-    def observe_run(self, page: int, offsets, times) -> None:
-        """Fold a run of same-page accesses, bit-identically to observe().
-
-        The first access goes through :meth:`observe` unchanged (it may
-        allocate in FT or promote to AT).  If the page then sits in the
-        AT and the run spans at most ``at_timeout`` cycles, the remaining
-        accesses collapse to one bitmap OR + one expiry sweep: the AT-hit
-        path never inserts or evicts, expiry decisions depend only on
-        each front entry's ``last_time`` versus the sweep time (and our
-        entry cannot time out mid-run under the span guard), and learned
-        snapshots carry their own timestamps — so the final table
-        contents, order and counters match the per-access loop exactly.
-        Otherwise (page still filtering, or a paused run) the remaining
-        accesses replay through :meth:`observe` one by one — a mid-run
-        FT→AT promotion can capacity-evict, which must happen at the
-        per-access times.
-        """
-        self.observe_fields(page, offsets[0], times[0])
-        count = len(offsets)
-        if count == 1:
-            return
-        entry = self._accumulation_table.get(page)
-        if entry is not None and times[-1] - times[0] <= self.config.at_timeout:
-            self._expire_accumulation(times[-1])
-            bits = 0
-            for offset in offsets[1:]:
-                bits |= 1 << offset
-            entry.bitmap |= bits
-            entry.last_time = times[-1]
-            self._accumulation_table.move_to_end(page)
-            self.activity.table_reads += count - 1
-            self.activity.table_writes += count - 1
-            return
-        for offset, now in zip(offsets[1:], times[1:]):
-            self.observe_fields(page, offset, now)
 
     def _at_insert(self, page: int, entry: _AccumulationEntry) -> None:
         self._accumulation_table[page] = entry

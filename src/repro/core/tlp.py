@@ -68,8 +68,7 @@ class TLPPrefetcher(Prefetcher):
     def observe_fields(self, page: int, offset: int, now: int) -> None:
         """:meth:`observe` taking the consumed fields directly (``now`` is
         accepted for signature uniformity with SLP; TLP never reads the
-        clock).  The batch engine's run folding calls this with a run's
-        fields, so it builds no :class:`DemandAccess` per run."""
+        clock)."""
         rpt = self._rpt
         activity = self.activity
         entry = rpt.get(page)
@@ -91,36 +90,6 @@ class TLPPrefetcher(Prefetcher):
         # issue() returns before any table/counter touch on hits when
         # issuing is miss-only.
         return self.config.issue_on_miss_only
-
-    def supports_observe_run(self) -> bool:
-        # observe() never reads the clock, so run folding is exact
-        # unconditionally; tracer gating kept for uniformity (observe
-        # emits no events today).
-        return not self.tracer.enabled
-
-    def observe_run(self, page: int, offsets, times) -> None:
-        """Fold a run of same-page accesses, bit-identically to observe().
-
-        The first access allocates/refreshes the RPT entry through
-        :meth:`observe`; every later access of the run would hit the same
-        entry (already at the LRU tail), so the remainder collapses to one
-        bitmap OR plus the per-access clock and activity counts.  The clock
-        counts accesses, not calls, so a folded run leaves the same stamps
-        as the per-access loop.
-        """
-        self.observe_fields(page, offsets[0], times[0])
-        count = len(offsets)
-        if count == 1:
-            return
-        bits = 0
-        for offset in offsets[1:]:
-            bits |= 1 << offset
-        entry = self._rpt[page]
-        entry.bitmap |= bits
-        self._clock += count - 1
-        entry.stamp = self._clock
-        self.activity.table_reads += count - 1
-        self.activity.table_writes += count - 1
 
     def _allocate(self, page: int) -> _RPTEntry:
         """Allocate an RPT entry, computing its Ref bits against residents.

@@ -282,11 +282,6 @@ class DRAMChannel:
         """Close the books at trace end (fixes elapsed-cycle accounting)."""
         self.stats.elapsed_cycles = max(end_time, self._last_time, self._bus_free_time)
 
-    def idle_headroom(self, now: int) -> int:
-        """Cycles until the data bus is next free — a cheap congestion probe
-        prefetch throttles can use."""
-        return max(0, self._bus_free_time - now)
-
     def outstanding_requests(self) -> int:
         """Controller-queue slots currently occupied (in-flight requests
         not yet known to have completed)."""

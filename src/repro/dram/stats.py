@@ -40,12 +40,6 @@ class DRAMStats:
         total = self.row_hits + self.row_misses + self.row_conflicts
         return self.row_hits / total if total else 0.0
 
-    @property
-    def bus_utilization(self) -> float:
-        if self.elapsed_cycles == 0:
-            return 0.0
-        return min(1.0, self.data_bus_cycles / self.elapsed_cycles)
-
     def state_dict(self) -> dict:
         """Snapshot every counter and latency aggregate (checkpoints)."""
         return {

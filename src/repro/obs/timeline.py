@@ -141,13 +141,6 @@ class EpochRecord:
         base = self.prefetch_useful + self.demand_misses
         return self.prefetch_useful / base if base else 0.0
 
-    def source_accuracy(self, source: str) -> float:
-        """Useful/fills for one sub-prefetcher within this epoch."""
-        fills = self.fills_by_source.get(source, 0)
-        if fills == 0:
-            return 0.0
-        return self.useful_by_source.get(source, 0) / fills
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

@@ -227,26 +227,6 @@ class Prefetcher(abc.ABC):
         the default hit path touches nothing, so this is a no-op.
         """
 
-    def supports_observe_run(self) -> bool:
-        """True when :meth:`observe_run` folds a run of consecutive
-        same-page accesses bit-identically to per-access ``observe`` calls
-        *in the current configuration* (implementations must return False
-        while their event tracer is enabled — batched folding would
-        re-stamp event times).  Conservative default: False.
-        """
-        return False
-
-    def observe_run(self, page: int, offsets: List[int],
-                    times: List[int]) -> None:
-        """Learning phase over a run of same-page accesses (batched).
-
-        ``offsets[k]``/``times[k]`` describe the k-th access of the run;
-        times are non-decreasing.  Only called when
-        :meth:`supports_observe_run` returned True for this chunk.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support observe_run")
-
     # ------------------------------------------------------------------
     # Optional engine feedback (see repro.prefetch.throttle)
     # ------------------------------------------------------------------

@@ -118,13 +118,6 @@ class AccuracyThrottle(Prefetcher):
     def skip_hit_triggers(self, count: int) -> None:
         self.inner.skip_hit_triggers(count)
 
-    def supports_observe_run(self) -> bool:
-        return not self.tracer.enabled and self.inner.supports_observe_run()
-
-    def observe_run(self, page: int, offsets, times) -> None:
-        self._last_time = times[-1]
-        self.inner.observe_run(page, offsets, times)
-
     def issue(self, access: DemandAccess, was_hit: bool,
               prefetched_hit: bool = False) -> List[PrefetchCandidate]:
         candidates = self.inner.issue(access, was_hit, prefetched_hit)

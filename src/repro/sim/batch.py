@@ -35,16 +35,11 @@ state — while running several times faster.  Where the speed comes from:
   histogram dict probe — the skipped contributions are merged once at sync
   (``min``/``max``/bucket counts are order-free, unlike the mean/M2
   recurrence, which still runs per record).
-* **Run-length batching** — when the prefetcher declares
-  ``hit_trigger_noop()`` and ``supports_observe_run()`` (SLP, TLP,
-  Planaria's decoupled/parallel coordinators, and throttle wrappers around
-  them), consecutive same-page *hit* accesses defer their learning-phase
-  calls into one ``observe_run`` per run and skip the issuing phase
-  entirely, compensating the skipped hit triggers in bulk via
-  ``skip_hit_triggers``.  Runs break at every miss/delayed access (the
-  trigger's ``observe`` folds into the flush, preserving the exact
-  scalar observe→issue order), at page changes, and at chunk end.
-
+* **Hit-trigger skipping** — every record is observed in scalar order;
+  when the prefetcher declares ``hit_trigger_noop()`` (SLP, TLP,
+  Planaria and throttle wrappers around them) a hit's ``issue`` call is
+  skipped and the skipped calls are applied once at chunk end through
+  ``skip_hit_triggers``.
 * **Tenant way partitions** — a fill whose requester (the record's
   device; for a prefetch fill, the device whose access triggered it) has
   a configured partition takes its way from
@@ -57,11 +52,10 @@ state — while running several times faster.  Where the speed comes from:
   a prefetched block); queue-gate and issue-origin hooks fire from the
   queue and the prefetcher themselves.
 
-Work runs per event, not deferred, exactly at these boundaries:
-prefetch-queue activity, throttle state flips
-(``notify_useful``/``notify_unused`` fire immediately, never deferred) and
-epoch closes (observability slices chunks before this function runs, so
-every epoch boundary is also a batch boundary).  Every chunk runs here: a
+Prefetch-queue activity and throttle state flips
+(``notify_useful``/``notify_unused``) run per event, never deferred;
+observability slices chunks before this function runs, so every epoch
+close is also a chunk end.  Every chunk runs here: a
 passive run over a cache still holding live prefetched blocks (only a
 checkpoint restored from an active run leaves them) takes the active loop,
 because the fused demand loop elides the prefetch-consumption bookkeeping.
@@ -73,19 +67,6 @@ Preconditions the batch loops *assume* instead of checking per record:
   either engine changes any state, and raises ``TraceOrderError``; the
   loops here drop the per-request guard of ``service_scalar``, which
   stays for direct DRAM callers.
-
-Reordering-soundness notes (why deferral is exact):
-
-* ``observe`` never reads engine state, and the engine never reads
-  prefetcher state between two accesses of a hit run (issue is skipped on
-  hits under ``hit_trigger_noop``), so deferring a run's observes to its
-  flush point replays the same mutation sequence.
-* ``notify_useful``/``notify_unused`` may now fire *before* deferred
-  observes that preceded them in scalar order.  They touch only the
-  throttle wrapper's outcome window, which ``observe`` does not read, and
-  ``observe`` only stamps ``_last_time``, which the outcome path reads
-  only for tracer events — and ``supports_observe_run`` is False whenever
-  a tracer is enabled.  The two mutation sets commute.
 """
 
 from __future__ import annotations
@@ -827,15 +808,14 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                 times, read_col, device_col, cut, total):
     """Prefetcher-in-play loop: inlined cache ops, closure-based DRAM.
 
-    ``batching`` defers hit-run observes into ``observe_run`` and skips
-    hit-trigger issue calls; otherwise observe/issue run per record in
-    scalar order.  Counters derive at sync exactly as in
+    Every record is observed in scalar order; a hit's ``issue`` call is
+    skipped while ``hit_trigger_noop()`` holds and the skipped calls are
+    applied once at chunk end.  Counters derive at sync exactly as in
     :func:`_run_passive` (prefetch fills count via the deferred prefetch
     latency list).
     """
     prefetcher = sim.prefetcher
-    batching = (prefetcher.hit_trigger_noop()
-                and prefetcher.supports_observe_run())
+    skip_hits = prefetcher.hit_trigger_noop()
 
     cache = sim.cache
     cmap = cache._map
@@ -902,18 +882,12 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
     notify_useful = prefetcher.notify_useful
     lineage = sim.lineage
     observe = prefetcher.observe
-    observe_run = prefetcher.observe_run
     issue = prefetcher.issue
 
     from repro.sim.engine import _FastDemandAccess
     access = _FastDemandAccess()
 
     segments = ((0, cut, False), (cut, total, True))
-
-    # Run-length batching state (variant with observe_run deferral).
-    run_page = -1
-    run_offsets = []
-    run_times = []
     skipped_hits = 0
 
     try:
@@ -1062,40 +1036,19 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                         lineage.note_used(block_addr, prefetch_source,
                                           not hit, now)
 
-                if batching:
-                    if page != run_page:
-                        if run_offsets:
-                            observe_run(run_page, run_offsets, run_times)
-                            run_offsets = []
-                            run_times = []
-                        run_page = page
-                    run_offsets.append(block_in_segment)
-                    run_times.append(now)
-                    if hit:
-                        skipped_hits += 1
-                        continue
-                    observe_run(run_page, run_offsets, run_times)
-                    run_offsets = []
-                    run_times = []
-                    access.block_addr = block_addr
-                    access.page = page
-                    access.block_in_segment = block_in_segment
-                    access.channel_block = channel_block
-                    access.time = now
-                    access.is_read = is_read
-                    access.device = devices[device_value]
-                    candidates = issue(access, False, False)
-                else:
-                    access.block_addr = block_addr
-                    access.page = page
-                    access.block_in_segment = block_in_segment
-                    access.channel_block = channel_block
-                    access.time = now
-                    access.is_read = is_read
-                    access.device = devices[device_value]
-                    observe(access)
-                    candidates = issue(
-                        access, hit, hit and prefetch_source is not None)
+                access.block_addr = block_addr
+                access.page = page
+                access.block_in_segment = block_in_segment
+                access.channel_block = channel_block
+                access.time = now
+                access.is_read = is_read
+                access.device = devices[device_value]
+                observe(access)
+                if hit and skip_hits:
+                    skipped_hits += 1
+                    continue
+                candidates = issue(
+                    access, hit, hit and prefetch_source is not None)
 
                 if candidates and queue_push(candidates):
                     # _service_prefetches, inlined over the same locals;
@@ -1163,15 +1116,8 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                         if lineage is not None:
                             lineage.note_fill(candidate, device_value, now)
 
-        # Chunk end is a batch boundary: flush the open hit run and apply
-        # the skipped hit-trigger compensation in one call.
-        if run_offsets:
-            observe_run(run_page, run_offsets, run_times)
-            run_offsets = []
-            run_times = []
         if skipped_hits:
             prefetcher.skip_hit_triggers(skipped_hits)
-            skipped_hits = 0
     finally:
         dram_sync()
         rd_n = len(rd_lats)

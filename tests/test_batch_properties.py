@@ -4,12 +4,13 @@ Two layers of pinning, both against scalar ground truth:
 
 * **Trace-level** — adversarial traces (page-crossing runs, single-record
   buffers, all-same-set conflict streams, a warmup boundary landing inside
-  a run-length batch, random ``feed()`` cuts mid-batch) driven through the
+  a same-page run, random ``feed()`` cuts mid-chunk) driven through the
   differential oracle :func:`tests.test_batch_oracle.assert_equivalent`,
   which fails on *any* state drift between the batch engine and the scalar
   loops.  Each example also draws the cache's tenant way partitions
-  (random, possibly overlapping, possibly non-covering masks) and whether
-  a lineage collector is attached.
+  (random, possibly overlapping, possibly non-covering masks), whether
+  a lineage collector is attached, and whether timelines and events are
+  collected (and at what epoch size).
 * **Kernel-level** — :func:`repro.sim.kernels.decompose_chunk` pinned
   element-wise against the :class:`repro.geometry.AddressLayout` methods
   it vectorizes, plus
@@ -46,10 +47,12 @@ BLOCK = LAYOUT.block_size
 PAGE_BLOCKS = LAYOUT.blocks_per_page
 
 # A subset that exercises every engine regime: the passive demand-only
-# loop, both run-foldable sub-prefetchers, the composite coordinator, a
-# throttle wrapper (notify_useful feedback ordering) and an offset
-# prefetcher without observe_run support.
-PREFETCHERS = ("none", "slp", "tlp", "planaria", "planaria-throttled", "bop")
+# loop, both sub-prefetchers whose hit triggers the batch loop skips, the
+# composite coordinator in its decoupled and serial modes, a throttle
+# wrapper (notify_useful feedback ordering) and an offset prefetcher that
+# issues on hits.
+PREFETCHERS = ("none", "slp", "tlp", "planaria", "planaria-serial",
+               "planaria-throttled", "bop")
 
 EXAMPLES = 6  # per property; each trace example runs two full simulators
 
@@ -135,9 +138,13 @@ def configs(draw):
 
 def _check(data, buffer, cuts=()):
     """The oracle on ``buffer`` under a drawn prefetcher, cache
-    partitioning and lineage setting."""
+    partitioning, lineage setting and timeline epoch size (``None`` runs
+    without observability; events are on whenever timelines are, and
+    ride in each channel's ``state_dict``)."""
     assert_equivalent(data.draw(configs()), buffer, cuts=cuts,
                       prefetcher=data.draw(st.sampled_from(PREFETCHERS)),
+                      obs_epoch_records=data.draw(st.one_of(
+                          st.none(), st.integers(min_value=7, max_value=64))),
                       lineage=data.draw(st.booleans()))
 
 
@@ -179,7 +186,7 @@ class TestAdversarialTraces:
     def test_warmup_boundary_inside_run(self, data):
         """One long same-page run per channel: the warmup cut (at
         ``warmup_fraction`` of each channel's stream) necessarily lands
-        inside a run-length batch."""
+        inside the run."""
         page = data.draw(st.integers(min_value=0, max_value=256))
         length = data.draw(st.integers(min_value=24, max_value=96))
         block_addrs = [

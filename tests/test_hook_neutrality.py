@@ -266,7 +266,6 @@ def test_checkpoint_state_carries_no_hook_objects(prefetcher):
         for link in {top, planaria, planaria.slp, planaria.tlp}:
             assert link.tracer is NULL_TRACER
             assert link.lineage is None
-        assert top.supports_observe_run()
     restored.feed(trace[HALF:])
     assert (collect_metrics(restored, "CFM", prefetcher)
             == _plain(prefetcher)[0])

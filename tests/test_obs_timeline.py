@@ -2,9 +2,6 @@
 
 The contracts under test, in order of importance:
 
-* **Metrics neutrality** — ``RunMetrics`` with observability attached is
-  bit-identical (``==`` on the frozen dataclass) to the plain run, for
-  offline, parallel, and streaming execution alike.
 * **Execution-mode equivalence** — the merged timeline and the event
   list are bit-identical between serial and parallel runs, and between
   one-shot offline runs and chunked streaming feeds (with the stream
@@ -12,7 +9,9 @@ The contracts under test, in order of importance:
 * **Internal consistency** — epoch deltas telescope back to the run's
   cumulative totals.
 
-Checkpoint continuity and tracing neutrality (a span recorder changes
+Metrics neutrality (``RunMetrics`` with observability attached equals
+the plain run's, offline, parallel, streaming and after a detach),
+checkpoint continuity and tracing neutrality (a span recorder changes
 neither metrics, timeline nor events) are checked with every other hook
 and mode by ``tests/test_hook_neutrality.py``.
 """
@@ -20,7 +19,7 @@ and mode by ``tests/test_hook_neutrality.py``.
 import functools
 
 from repro.config import SimConfig
-from repro.obs import (ObsConfig, attach_observability, detach_observability)
+from repro.obs import ObsConfig, attach_observability
 from repro.prefetch.registry import make_prefetcher
 from repro.sim.engine import SystemSimulator, channel_warmup_counts
 from repro.sim.runner import collect_metrics, simulate
@@ -64,39 +63,6 @@ def _observed():
     obs = attach_observability(sim, epoch_records=EPOCH_RECORDS)
     sim.run(_trace())
     return sim, obs
-
-
-class TestMetricsNeutrality:
-    @pytest.mark.parametrize("prefetcher", ["none", "planaria"])
-    def test_offline_metrics_identical_with_obs(self, prefetcher):
-        sim = _simulator(prefetcher)
-        attach_observability(sim, epoch_records=EPOCH_RECORDS)
-        sim.run(_trace())
-        assert collect_metrics(sim, "CFM", prefetcher) == \
-            _plain_metrics(prefetcher)
-
-    def test_parallel_metrics_identical_with_obs(self):
-        sim = _simulator()
-        attach_observability(sim, epoch_records=EPOCH_RECORDS)
-        sim.run(_trace(), parallelism=2)
-        assert collect_metrics(sim, "CFM", "planaria") == _plain_metrics()
-
-    def test_streaming_metrics_identical_with_obs(self):
-        sim = _simulator()
-        attach_observability(sim, epoch_records=EPOCH_RECORDS)
-        sim.set_stream_warmup(channel_warmup_counts(_trace(), _config()))
-        trace = _trace()
-        for start in range(0, len(trace), CHUNK):
-            sim.feed(trace[start:start + CHUNK])
-        assert collect_metrics(sim, "CFM", "planaria") == _plain_metrics()
-
-    def test_detach_restores_plain_run(self):
-        sim = _simulator()
-        attach_observability(sim, epoch_records=EPOCH_RECORDS)
-        detach_observability(sim)
-        sim.run(_trace())
-        assert collect_metrics(sim, "CFM", "planaria") == _plain_metrics()
-        assert all(channel_sim.obs is None for channel_sim in sim.channels)
 
 
 class TestExecutionModeEquivalence:

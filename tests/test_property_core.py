@@ -170,9 +170,8 @@ class TestRPTIndexMatchesFullScan:
         reference = OrderedDict()
         accesses = 0
         for page, offsets in runs:
-            # Multi-access runs go through the batch engine's folded path.
-            tlp.observe_run(page, offsets, list(range(len(offsets))))
-            for _ in offsets:
+            for now, offset in enumerate(offsets):
+                tlp.observe_fields(page, offset, now)
                 reference_rpt_observe(reference, page, threshold,
                                       rpt_entries)
             accesses += len(offsets)

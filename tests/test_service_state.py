@@ -120,14 +120,15 @@ class TestStateAtRandomBoundaries:
 
 
 class TestCrossEngineResume:
-    """A checkpoint cut mid-trace — i.e. mid run-length batch, anywhere the
-    cut lands — taken on one engine and resumed on the other must finish in
+    """A checkpoint cut mid-trace — mid same-page run, anywhere the cut
+    lands — taken on one engine and resumed on the other must finish in
     exactly the state an uninterrupted scalar run reaches: state_dict is an
     engine-neutral format, and the batch engine neither loses deferred
     work at a checkpoint nor misreads a scalar-written snapshot."""
 
-    # One prefetcher per engine regime: passive demand loop, run-foldable
-    # composite, throttle wrapper, per-record trigger path.
+    # One prefetcher per engine regime: passive demand loop, composite
+    # whose hit triggers are skipped, throttle wrapper, per-record trigger
+    # path.
     PREFETCHERS = ("none", "planaria", "planaria-throttled", "bop")
 
     @pytest.mark.parametrize("prefetcher", PREFETCHERS)
