@@ -27,7 +27,8 @@ from typing import List, Optional
 
 from repro.config import PlanariaConfig
 from repro.geometry import AddressLayout
-from repro.prefetch.base import DemandAccess, PrefetchCandidate, Prefetcher
+from repro.prefetch.base import (DemandAccess, PrefetchCandidate, Prefetcher,
+                                 PrefetcherActivityCounters)
 from repro.core.slp import SLPPrefetcher
 from repro.core.tlp import TLPPrefetcher
 
@@ -132,18 +133,9 @@ class PlanariaPrefetcher(Prefetcher):
         return self.slp.storage_bits() + self.tlp.storage_bits()
 
     @property
-    def activity(self):  # type: ignore[override]
+    def activity(self) -> PrefetcherActivityCounters:
         """Aggregated metadata activity of both sub-prefetchers."""
-        from repro.prefetch.base import PrefetcherActivityCounters
-
         merged = PrefetcherActivityCounters()
         merged.merge(self.slp.activity)
         merged.merge(self.tlp.activity)
         return merged
-
-    @activity.setter
-    def activity(self, value) -> None:
-        # Prefetcher.__init__ assigns a fresh counter; the composite's
-        # activity is always derived from its parts, so the base-class
-        # assignment is accepted and ignored.
-        pass

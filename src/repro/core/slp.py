@@ -28,7 +28,8 @@ from typing import List, Optional
 
 from repro.config import SLPConfig
 from repro.geometry import AddressLayout
-from repro.prefetch.base import DemandAccess, PrefetchCandidate, Prefetcher
+from repro.prefetch.base import (DemandAccess, PrefetchCandidate, Prefetcher,
+                                 PrefetcherActivityCounters)
 from repro.utils.bitops import iter_set_bits, popcount
 
 
@@ -57,6 +58,26 @@ class SLPPrefetcher(Prefetcher):
         self._pattern_table: "OrderedDict[int, int]" = OrderedDict()
         self.snapshots_learned = 0
         self.ft_promotions = 0
+        # Demand accesses observed and PT lookups issued: the activity
+        # counters derive from these (see :attr:`activity`).
+        self._observes = 0
+        self._lookups = 0
+
+    @property
+    def activity(self) -> PrefetcherActivityCounters:
+        """Metadata activity, derived: every observe reads the AT (and FT)
+        and writes one entry, every issue lookup reads PT, and every
+        learned snapshot writes PT."""
+        return PrefetcherActivityCounters(
+            table_reads=self._observes + self._lookups,
+            table_writes=self._observes + self.snapshots_learned)
+
+    def _restore_derived(self) -> None:
+        legacy = self.__dict__.pop("activity", None)
+        if legacy is not None:
+            # Older layout: counted activity, no observe/lookup counts.
+            self._observes = legacy.table_writes - self.snapshots_learned
+            self._lookups = legacy.table_reads - self._observes
 
     # ------------------------------------------------------------------
     # Learning phase
@@ -74,15 +95,13 @@ class SLPPrefetcher(Prefetcher):
                       > self.config.at_timeout):
             self._expire_accumulation(now)
         bit = 1 << offset
-        activity = self.activity
-        activity.table_reads += 1
+        self._observes += 1
 
         entry = table.get(page)
         if entry is not None:                                  # step ①: AT hit
             entry.bitmap |= bit
             entry.last_time = now
             table.move_to_end(page)
-            activity.table_writes += 1
             return
 
         filter_table = self._filter_table
@@ -91,7 +110,6 @@ class SLPPrefetcher(Prefetcher):
             ft_entry.bitmap |= bit
             ft_entry.last_time = now
             filter_table.move_to_end(page)
-            activity.table_writes += 1
             if popcount(ft_entry.bitmap) >= self.config.filter_threshold:
                 del filter_table[page]                         # step ③: promote
                 self._at_insert(page, ft_entry)
@@ -99,7 +117,6 @@ class SLPPrefetcher(Prefetcher):
             return
 
         filter_table[page] = _AccumulationEntry(bit, now)
-        activity.table_writes += 1
         while len(filter_table) > self.config.filter_table_entries:
             filter_table.popitem(last=False)                   # drop sparse pages
 
@@ -135,7 +152,6 @@ class SLPPrefetcher(Prefetcher):
     def _learn_snapshot(self, page: int, bitmap: int, now: int) -> None:
         self._pattern_table[page] = bitmap
         self._pattern_table.move_to_end(page)
-        self.activity.table_writes += 1
         self.snapshots_learned += 1
         if self.tracer.enabled:
             self.tracer.emit("slp_snapshot_learned", now, page=page,
@@ -159,7 +175,7 @@ class SLPPrefetcher(Prefetcher):
         if was_hit and self.config.issue_on_miss_only:
             return []
         pattern = self._pattern_table.get(access.page)
-        self.activity.table_reads += 1
+        self._lookups += 1
         if pattern is None:
             return []
         self._pattern_table.move_to_end(access.page)

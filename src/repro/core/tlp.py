@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Set
 
 from repro.config import TLPConfig
 from repro.geometry import AddressLayout
-from repro.prefetch.base import DemandAccess, PrefetchCandidate, Prefetcher
+from repro.prefetch.base import (DemandAccess, PrefetchCandidate, Prefetcher,
+                                 PrefetcherActivityCounters)
 from repro.utils.bitops import iter_set_bits
 
 
@@ -57,7 +58,23 @@ class TLPPrefetcher(Prefetcher):
         self._buckets: Dict[int, Set[int]] = {}
         # Demand accesses observed so far; stamps RPT entries.
         self._clock = 0
+        # RPT lookups issued (see :attr:`activity`).
+        self._lookups = 0
         self.transfers = 0
+
+    @property
+    def activity(self) -> PrefetcherActivityCounters:
+        """Metadata activity, derived: every observe reads and writes one
+        RPT entry, and every issue lookup reads one."""
+        return PrefetcherActivityCounters(
+            table_reads=self._clock + self._lookups,
+            table_writes=self._clock)
+
+    def _restore_derived(self) -> None:
+        legacy = self.__dict__.pop("activity", None)
+        if legacy is not None:
+            # Older layout: counted activity, no lookup count.
+            self._lookups = legacy.table_reads - legacy.table_writes
 
     # ------------------------------------------------------------------
     # Learning phase
@@ -70,9 +87,7 @@ class TLPPrefetcher(Prefetcher):
         accepted for signature uniformity with SLP; TLP never reads the
         clock)."""
         rpt = self._rpt
-        activity = self.activity
         entry = rpt.get(page)
-        activity.table_reads += 1
         if entry is None:
             entry = self._allocate(page)  # appended at the LRU tail
         else:
@@ -81,7 +96,6 @@ class TLPPrefetcher(Prefetcher):
         clock = self._clock + 1
         self._clock = clock
         entry.stamp = clock
-        activity.table_writes += 1
 
     # ------------------------------------------------------------------
     # Batch-engine contract
@@ -209,7 +223,7 @@ class TLPPrefetcher(Prefetcher):
             return []
         page = access.page
         entry = self._rpt.get(page)
-        self.activity.table_reads += 1
+        self._lookups += 1
         if entry is None:
             return []
         neighbour_page, neighbour = self._best_neighbour(entry)

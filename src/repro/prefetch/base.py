@@ -125,7 +125,10 @@ class Prefetcher(abc.ABC):
             )
         self.layout = layout
         self.channel = channel
-        self.activity = PrefetcherActivityCounters()
+        # Prefetchers that derive their activity from other state define
+        # ``activity`` as a read-only property and get no counter object.
+        if not isinstance(getattr(type(self), "activity", None), property):
+            self.activity = PrefetcherActivityCounters()
         self.issued_candidates = 0
         # Precomputed pieces of layout.compose(page, channel, offset) >>
         # block_bits, so :meth:`_candidate` builds a block address with two
@@ -204,9 +207,17 @@ class Prefetcher(abc.ABC):
 
         Must be called on an instance built with the same layout/channel/
         configuration as the snapshot's source (the registry factory
-        guarantees this for checkpoint restores).
+        guarantees this for checkpoint restores).  Every :meth:`chain`
+        link then runs :meth:`_restore_derived`.
         """
         self.__dict__.update(copy.deepcopy(state))
+        for link in self.chain():
+            link._restore_derived()
+
+    def _restore_derived(self) -> None:
+        """Rebuild what :meth:`state_dict` leaves out and convert a state
+        saved in an older layout; :meth:`load_state` calls it on every
+        chain link.  Default: nothing to do."""
 
     # ------------------------------------------------------------------
     # Batch-engine contract (see repro.sim.batch)

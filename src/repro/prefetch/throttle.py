@@ -134,9 +134,6 @@ class AccuracyThrottle(Prefetcher):
         return self.inner.storage_bits() + self.window + 16
 
     @property
-    def activity(self):  # type: ignore[override]
+    def activity(self):
+        """The wrapped prefetcher's activity."""
         return self.inner.activity
-
-    @activity.setter
-    def activity(self, value) -> None:
-        pass  # derived from the wrapped prefetcher
