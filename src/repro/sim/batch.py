@@ -72,6 +72,7 @@ Preconditions the batch loops *assume* instead of checking per record:
 from __future__ import annotations
 
 import gc
+from collections import Counter
 
 from repro.cache.array_state import partition_victim
 from repro.sim import kernels
@@ -847,35 +848,23 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
     wb_cell = [0]
     dram_service, dram_sync = _dram_closures(dram, rd_lats, pf_lats, wb_cell)
 
+    # Measured latencies, in record order, folded into the metric
+    # aggregates at chunk end; reads also keep their device value.
     metrics = sim.metrics
-    all_stats = metrics.all_latency
-    a_count = all_stats.count
-    a0 = a_count
-    a_mean = all_stats._mean
-    a_m2 = all_stats._m2
-    a_min = all_stats.min
-    a_max = all_stats.max
-    read_stats = metrics.read_latency
-    r_count = read_stats.count
-    r0 = r_count
-    r_mean = read_stats._mean
-    r_m2 = read_stats._m2
-    r_min = read_stats.min
-    r_max = read_stats.max
-    histogram = metrics.latency_histogram
-    h_buckets = histogram._buckets                 # dict, in place
-    bucket_width = histogram.bucket_width
-    device_latency = metrics.device_read_latency
+    lats = []
+    lats_append = lats.append
+    read_lats = []
+    read_lats_append = read_lats.append
+    read_devs = []
+    read_devs_append = read_devs.append
     device_count = max(_DEVICE_BY_VALUE) + 1
     devices = [_DEVICE_BY_VALUE[value] for value in range(device_count)]
     device_names = [device.name for device in devices]
-    dev_stats = [device_latency.get(name) for name in device_names]
     # Per-device demand counters, direct-dict (see _run_passive).
     device_demand = metrics.device_demand
     dev_demand = [device_demand.get(name) for name in device_names]
 
     hit_latency = sim.config.sc_hit_latency
-    hit_bucket = int(hit_latency // bucket_width)
     prefetch_fill_sc = sim.config.prefetch_fill_sc
     queue_push = sim.queue.push
     queue_pop_all = sim.queue.pop_all
@@ -993,42 +982,10 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
                         dd[2] += 1
                     if went_dram:
                         dd[3] += 1
-                    a_count += 1
-                    delta = latency - a_mean
-                    a_mean += delta / a_count
-                    a_m2 += delta * (latency - a_mean)
-                    if a_min is None or latency < a_min:
-                        a_min = latency
-                    if a_max is None or latency > a_max:
-                        a_max = latency
+                    lats_append(latency)
                     if is_read:
-                        r_count += 1
-                        delta = latency - r_mean
-                        r_mean += delta / r_count
-                        r_m2 += delta * (latency - r_mean)
-                        if r_min is None or latency < r_min:
-                            r_min = latency
-                        if r_max is None or latency > r_max:
-                            r_max = latency
-                        bucket = (hit_bucket if latency == hit_latency
-                                  else int(latency // bucket_width))
-                        h_buckets[bucket] = h_buckets.get(bucket, 0) + 1
-                        dstats = dev_stats[device_value]
-                        if dstats is None:
-                            dstats = RunningStats()
-                            device_latency[device_names[device_value]] = (
-                                dstats)
-                            dev_stats[device_value] = dstats
-                        dstats_count = dstats.count + 1
-                        dstats.count = dstats_count
-                        delta = latency - dstats._mean
-                        dmean = dstats._mean + delta / dstats_count
-                        dstats._mean = dmean
-                        dstats._m2 += delta * (latency - dmean)
-                        if dstats.min is None or latency < dstats.min:
-                            dstats.min = latency
-                        if dstats.max is None or latency > dstats.max:
-                            dstats.max = latency
+                        read_lats_append(latency)
+                        read_devs_append(device_value)
 
                 if prefetch_source is not None:
                     notify_useful()
@@ -1144,17 +1101,41 @@ def _run_active(sim, block_addrs, page_col, offset_col, chan_col,
         cstats.demand_fills += rd_n
         cstats.prefetch_fills += pf_n
         cstats.writebacks += wb_n
+        _fold_metrics(metrics, lats, read_lats, read_devs, device_names)
 
-        all_stats.count = a_count
-        all_stats._mean = a_mean
-        all_stats._m2 = a_m2
-        all_stats.min = a_min
-        all_stats.max = a_max
-        read_stats.count = r_count
-        read_stats._mean = r_mean
-        read_stats._m2 = r_m2
-        read_stats.min = r_min
-        read_stats.max = r_max
-        histogram.count += r_count - r0
-        metrics.demand_reads += r_count - r0
-        metrics.demand_writes += (a_count - a0) - (r_count - r0)
+
+def _fold_metrics(metrics, lats, read_lats, read_devs, device_names):
+    """Fold one chunk's measured latencies into ``metrics``, bit-identically.
+
+    ``lats`` holds every measured record's latency in record order,
+    ``read_lats``/``read_devs`` the reads' latencies and device values.
+    The Welford streams replay ``MetricSet.record``'s order through
+    :func:`_welford_into`; histogram buckets and per-device aggregates are
+    created in first-seen order, so the dicts keep the scalar loop's key
+    order too.
+    """
+    _welford_into(lats, metrics.all_latency)
+    _welford_into(read_lats, metrics.read_latency)
+    reads = len(read_lats)
+    metrics.demand_reads += reads
+    metrics.demand_writes += len(lats) - reads
+    if not reads:
+        return
+    histogram = metrics.latency_histogram
+    h_buckets = histogram._buckets
+    bucket_width = histogram.bucket_width
+    # Counter keeps the latencies' first-seen order, hence the buckets'.
+    for latency, count in Counter(read_lats).items():
+        bucket = int(latency // bucket_width)
+        h_buckets[bucket] = h_buckets.get(bucket, 0) + count
+    histogram.count += reads
+    by_device = {value: [] for value in dict.fromkeys(read_devs)}
+    for latency, value in zip(read_lats, read_devs):
+        by_device[value].append(latency)
+    device_latency = metrics.device_read_latency
+    for value, values in by_device.items():
+        name = device_names[value]
+        stats = device_latency.get(name)
+        if stats is None:
+            stats = device_latency[name] = RunningStats()
+        _welford_into(values, stats)
