@@ -30,7 +30,7 @@ from repro.config import SLPConfig
 from repro.geometry import AddressLayout
 from repro.prefetch.base import (DemandAccess, PrefetchCandidate, Prefetcher,
                                  PrefetcherActivityCounters)
-from repro.utils.bitops import iter_set_bits, popcount
+from repro.utils.bitops import popcount
 
 
 class _AccumulationEntry:
@@ -181,8 +181,7 @@ class SLPPrefetcher(Prefetcher):
         self._pattern_table.move_to_end(access.page)
         already = self._current_bitmap(access.page) | (1 << access.block_in_segment)
         remaining = pattern & ~already
-        candidates = [self._candidate(access.page, offset)
-                      for offset in iter_set_bits(remaining)]
+        candidates = self._candidates(access.page, remaining)
         if self.lineage is not None and candidates:
             self.lineage.note_slp_issue(access.page, pattern, candidates)
         return candidates

@@ -30,7 +30,6 @@ from repro.config import TLPConfig
 from repro.geometry import AddressLayout
 from repro.prefetch.base import (DemandAccess, PrefetchCandidate, Prefetcher,
                                  PrefetcherActivityCounters)
-from repro.utils.bitops import iter_set_bits
 
 
 class _RPTEntry:
@@ -237,8 +236,7 @@ class TLPPrefetcher(Prefetcher):
                 self.tracer.emit("tlp_transfer", access.time, page=page,
                                  neighbour_page=neighbour_page,
                                  blocks=remaining.bit_count())
-        candidates = [self._candidate(page, offset)
-                      for offset in iter_set_bits(remaining)]
+        candidates = self._candidates(page, remaining)
         if self.lineage is not None and candidates:
             self.lineage.note_issue(
                 candidates, f"tlp/{abs(page - neighbour_page)}")

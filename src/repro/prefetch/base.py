@@ -131,7 +131,7 @@ class Prefetcher(abc.ABC):
             self.activity = PrefetcherActivityCounters()
         self.issued_candidates = 0
         # Precomputed pieces of layout.compose(page, channel, offset) >>
-        # block_bits, so :meth:`_candidate` builds a block address with two
+        # block_bits, so :meth:`_candidates` builds a block address with two
         # shifts and two ORs instead of three nested calls (hot issuing
         # path).  Inputs are trusted there: pages come from table keys and
         # offsets from 16-bit bitmap positions, both validated on entry.
@@ -261,12 +261,21 @@ class Prefetcher(abc.ABC):
         page, offset = divmod(channel_block, per_segment)
         return self.compose_block_addr(page, offset)
 
-    def _candidate(self, page: int, block_in_segment: int) -> PrefetchCandidate:
-        # (page << page_shift) | channel_bits | offset ==
-        # compose_block_addr(page, block_in_segment); see __init__.
-        self.issued_candidates += 1
-        return PrefetchCandidate(
-            (page << self._page_shift) | self._channel_bits
-            | block_in_segment,
-            self.name,
-        )
+    def _candidates(self, page: int, bitmap: int) -> List[PrefetchCandidate]:
+        """One candidate per set bit of ``bitmap`` (segment offsets of
+        ``page``, lowest first), counted into :attr:`issued_candidates`.
+
+        ``bitmap`` must be non-negative.  The block address is
+        ``(page << page_shift) | channel_bits | offset`` ==
+        ``compose_block_addr(page, offset)``; see ``__init__``.
+        """
+        base = (page << self._page_shift) | self._channel_bits
+        name = self.name
+        candidates = []
+        while bitmap:
+            lowest = bitmap & -bitmap
+            candidates.append(
+                PrefetchCandidate(base | (lowest.bit_length() - 1), name))
+            bitmap ^= lowest
+        self.issued_candidates += len(candidates)
+        return candidates

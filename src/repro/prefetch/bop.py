@@ -145,7 +145,7 @@ class BestOffsetPrefetcher(Prefetcher):
                 return []
             if page < 0:
                 raise AddressError(f"negative page number {page}")
-        return [self._candidate(page, offset)]
+        return self._candidates(page, 1 << offset)
 
     def storage_bits(self) -> int:
         # RR table: 32-bit block addresses; score table: one 6-bit score

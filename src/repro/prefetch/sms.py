@@ -19,7 +19,6 @@ from typing import Dict, List
 
 from repro.geometry import AddressLayout
 from repro.prefetch.base import DemandAccess, PrefetchCandidate, Prefetcher
-from repro.utils.bitops import iter_set_bits
 
 
 @dataclass
@@ -100,8 +99,7 @@ class SMSPrefetcher(Prefetcher):
         if pattern is None:
             return []
         remaining = pattern & ~(1 << access.block_in_segment)
-        return [self._candidate(access.page, offset)
-                for offset in iter_set_bits(remaining)]
+        return self._candidates(access.page, remaining)
 
     def storage_bits(self) -> int:
         pt_bits = self.pattern_table_entries * 16
