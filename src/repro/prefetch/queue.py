@@ -123,8 +123,15 @@ class PrefetchQueue:
                 lineage_before = (stats.accepted, stats.dropped_duplicate,
                                   stats.dropped_degree, stats.dropped_full)
                 lineage = None
+        config = self.config
+        max_degree = config.max_degree
+        drop_duplicates = config.drop_duplicates
+        depth = config.depth
+        queue = self._queue
+        recent = self._recent
+        recent_capacity = self._recent_capacity
         for index, candidate in enumerate(candidates):
-            if len(accepted) >= self.config.max_degree:
+            if len(accepted) >= max_degree:
                 # Only the not-yet-examined tail is degree-dropped; earlier
                 # duplicate/full drops are already counted in their own bins.
                 for dropped in candidates[index:]:
@@ -134,28 +141,33 @@ class PrefetchQueue:
                     if lineage is not None:
                         lineage.note_drop(dropped, "degree")
                 break
-            if self.config.drop_duplicates and candidate.block_addr in self._recent:
+            block_addr = candidate.block_addr
+            if drop_duplicates and block_addr in recent:
                 stats.dropped_duplicate += 1
                 by_origin[candidate.source] = (
                     by_origin.get(candidate.source, 0) + 1)
                 if lineage is not None:
                     lineage.note_drop(candidate, "duplicate")
                 continue
-            if len(self._queue) >= self.config.depth:
+            if len(queue) >= depth:
                 stats.dropped_full += 1
                 by_origin[candidate.source] = (
                     by_origin.get(candidate.source, 0) + 1)
                 if lineage is not None:
                     lineage.note_drop(candidate, "full")
                 continue
-            self._remember(candidate.block_addr)
-            self._queue.append(candidate)
+            # Remember the address in the dedup LRU set.
+            recent[block_addr] = None
+            recent.move_to_end(block_addr)
+            while len(recent) > recent_capacity:
+                recent.popitem(last=False)
+            queue.append(candidate)
             accepted.append(candidate)
             stats.accepted += 1
             if lineage is not None:
                 lineage.note_accept(candidate)
-        if accepted and len(self._queue) > stats.peak_pending:
-            stats.peak_pending = len(self._queue)
+        if accepted and len(queue) > stats.peak_pending:
+            stats.peak_pending = len(queue)
         if single_source is not None:
             self.lineage.note_gate(
                 single_source,
@@ -164,12 +176,6 @@ class PrefetchQueue:
                 stats.dropped_degree - lineage_before[2],
                 stats.dropped_full - lineage_before[3])
         return accepted
-
-    def _remember(self, block_addr: int) -> None:
-        self._recent[block_addr] = None
-        self._recent.move_to_end(block_addr)
-        while len(self._recent) > self._recent_capacity:
-            self._recent.popitem(last=False)
 
     def state_dict(self) -> dict:
         """Snapshot pending candidates, the dedup LRU and counters."""
