@@ -3,20 +3,27 @@
 Complements tests/test_properties.py (engine-level invariants) with the
 algebra the prefetchers are built on: footprint bitmaps must round-trip
 through utils/bitops, the RPT similarity measures must be symmetric and
-bounded, and neither SLP nor TLP may ever prefetch the block that
-triggered the issue — that block is being demand-fetched already.
+bounded, neither SLP nor TLP may ever prefetch the block that triggered
+the issue — that block is being demand-fetched already — and the
+metadata activity SLP and TLP derive must equal a count of the table
+accesses it stands for.
 """
 
 from collections import OrderedDict
 
 from hypothesis import given, settings as hsettings, strategies as st
 
-from repro.config import TLPConfig
+from repro.config import PlanariaConfig, SimConfig, SLPConfig, TLPConfig
+from repro.core.planaria import PlanariaPrefetcher
+from repro.core.slp import SLPPrefetcher
 from repro.core.tlp import TLPPrefetcher
 from repro.geometry import DEFAULT_LAYOUT
 from repro.prefetch.base import DemandAccess
 from repro.prefetch.registry import make_prefetcher
-from repro.trace.record import DeviceID
+from repro.prefetch.throttle import AccuracyThrottle
+from repro.sim.engine import SystemSimulator
+from repro.trace.buffer import TraceBuffer
+from repro.trace.record import AccessType, DeviceID, TraceRecord
 from repro.utils.bitops import (bitmap_from_offsets, bitmap_overlap,
                                 bitmap_to_string, hamming_distance,
                                 iter_set_bits, popcount)
@@ -185,3 +192,136 @@ class TestRPTIndexMatchesFullScan:
             assert stamps == sorted(stamps)
             assert sorted(p for bucket in tlp._buckets.values()
                           for p in bucket) == sorted(rpt)
+
+
+# ----------------------------------------------------------------------
+# Derived metadata activity
+# ----------------------------------------------------------------------
+# Tables small enough that FT, AT, PT and RPT all evict within a drawn
+# stream, and an AT timeout short enough to expire entries.
+SMALL_SLP = SLPConfig(filter_table_entries=3, filter_threshold=2,
+                      accumulation_table_entries=2, at_timeout=150,
+                      pattern_table_entries=3)
+SMALL_TLP = TLPConfig(rpt_entries=4, distance_threshold=8,
+                      min_common_bits=1)
+
+
+def _small_prefetcher(name, layout=DEFAULT_LAYOUT, channel=0):
+    if name == "slp":
+        return SLPPrefetcher(layout, channel, SMALL_SLP)
+    if name == "tlp":
+        return TLPPrefetcher(layout, channel, SMALL_TLP)
+    coordinator = name.rpartition("-")[2]
+    if coordinator == "throttled":
+        return AccuracyThrottle(_small_prefetcher("planaria-decoupled",
+                                                  layout, channel),
+                                window=8, min_samples=4)
+    return PlanariaPrefetcher(layout, channel, PlanariaConfig(
+        slp=SMALL_SLP, tlp=SMALL_TLP, coordinator=coordinator))
+
+
+SMALL_PREFETCHERS = ("slp", "tlp", "planaria-decoupled", "planaria-serial",
+                     "planaria-parallel", "planaria-throttled")
+
+activity_streams = st.lists(
+    st.tuples(st.integers(min_value=0x200, max_value=0x214),
+              st.integers(min_value=0, max_value=15),
+              st.integers(min_value=0, max_value=120),  # time step
+              st.booleans()),                            # was_hit
+    min_size=1, max_size=150,
+)
+
+
+class _TableAccessCount:
+    """Counts, from outside, the table accesses the activity rule names:
+    observes, issue lookups (issues past the miss-only gate) and learned
+    PT snapshots."""
+
+    def __init__(self, link):
+        self.observes = self.lookups = self.snapshots = 0
+        observe_fields, issue = link.observe_fields, link.issue
+
+        def counted_observe(page, offset, now):
+            self.observes += 1
+            observe_fields(page, offset, now)
+
+        def counted_issue(access, was_hit, prefetched_hit=False):
+            if not (was_hit and link.config.issue_on_miss_only):
+                self.lookups += 1
+            return issue(access, was_hit, prefetched_hit)
+
+        link.observe_fields = counted_observe
+        link.issue = counted_issue
+        if isinstance(link, SLPPrefetcher):
+            learn = link._learn_snapshot
+
+            def counted_learn(page, bitmap, now):
+                self.snapshots += 1
+                learn(page, bitmap, now)
+
+            link._learn_snapshot = counted_learn
+
+    def expected(self, link):
+        if isinstance(link, TLPPrefetcher):
+            return (self.observes + self.lookups, self.observes)
+        return (self.observes + self.lookups,
+                self.observes + self.snapshots)
+
+
+class TestDerivedActivity:
+    """SLP and TLP derive their activity instead of counting it: TLP reads
+    = observes + issue lookups and writes = observes; SLP reads = observes
+    + issue lookups and writes = observes + learned snapshots.  Both
+    engines charge power from it, so they must agree on it too."""
+
+    @given(stream=activity_streams,
+           name=st.sampled_from(SMALL_PREFETCHERS))
+    @hsettings(max_examples=60, deadline=None)
+    def test_activity_matches_counted_table_accesses(self, stream, name):
+        prefetcher = _small_prefetcher(name)
+        links = [link for link in prefetcher.chain()
+                 if isinstance(link, (SLPPrefetcher, TLPPrefetcher))]
+        counts = [_TableAccessCount(link) for link in links]
+        time = 0
+        for page, offset, step, was_hit in stream:
+            time += step
+            access = build_access(page, offset, time)
+            prefetcher.observe(access)
+            prefetcher.issue(access, was_hit=was_hit)
+        total_reads = total_writes = 0
+        for link, count in zip(links, counts):
+            reads, writes = count.expected(link)
+            assert (link.activity.table_reads,
+                    link.activity.table_writes) == (reads, writes)
+            total_reads += reads
+            total_writes += writes
+        assert (prefetcher.activity.table_reads,
+                prefetcher.activity.table_writes) == (total_reads,
+                                                      total_writes)
+
+    @given(stream=activity_streams,
+           name=st.sampled_from(SMALL_PREFETCHERS))
+    @hsettings(max_examples=20, deadline=None)
+    def test_power_report_identical_on_both_engines(self, stream, name):
+        config = SimConfig.experiment_scale()
+        block = config.layout.block_size
+        records = []
+        time = 0
+        for page, offset, step, is_write in stream:
+            time += step
+            records.append(TraceRecord(
+                address=(page * config.layout.blocks_per_page + offset)
+                * block,
+                access_type=AccessType.WRITE if is_write else AccessType.READ,
+                device=DeviceID.CPU, arrival_time=time))
+        buffer = TraceBuffer.from_records(records)
+        reports = []
+        for engine_mode in ("scalar", "batch"):
+            simulator = SystemSimulator(
+                config,
+                lambda layout, channel: _small_prefetcher(name, layout,
+                                                          channel),
+                engine_mode=engine_mode)
+            simulator.feed(buffer)
+            reports.append(simulator.power_report())
+        assert reports[0] == reports[1]

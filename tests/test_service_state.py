@@ -16,6 +16,9 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.config import SimConfig
+from repro.core.slp import SLPPrefetcher
+from repro.core.tlp import TLPPrefetcher
+from repro.prefetch.base import PrefetcherActivityCounters
 from repro.prefetch.registry import PREFETCHER_FACTORIES, make_prefetcher
 from repro.service.checkpoint import (Checkpoint, load_checkpoint,
                                       restore_simulator, save_checkpoint)
@@ -174,6 +177,82 @@ class TestCrossEngineResume:
         resumed = restore_simulator(load_checkpoint(path))
         resumed.feed(trace[cut:])
         assert _metrics(resumed, prefetcher) == _offline_metrics(prefetcher)
+
+
+def _to_counted_activity_layout(fields, link_type):
+    """Rewrite one prefetcher link's state, and its nested links', in place
+    into the layout written before SLP and TLP derived their activity: a
+    counted ``activity`` object and no lookup or observe counts."""
+    for attr in link_type._LINKS:
+        nested = fields[attr]
+        _to_counted_activity_layout(nested.__dict__, type(nested))
+    if link_type is TLPPrefetcher:
+        clock = fields["_clock"]
+        reads, writes = clock + fields.pop("_lookups"), clock
+    elif link_type is SLPPrefetcher:
+        observes = fields.pop("_observes")
+        reads = observes + fields.pop("_lookups")
+        writes = observes + fields["snapshots_learned"]
+    else:
+        return
+    fields["activity"] = PrefetcherActivityCounters(table_reads=reads,
+                                                    table_writes=writes)
+
+
+def _sort_nested_links(fields, link_type):
+    """Sort the attribute dicts of the nested links in one snapshot.  A
+    nested link restores as the snapshot's own object, so a converted one
+    keeps the older layout's attribute order; values must still match."""
+    for attr in link_type._LINKS:
+        nested = fields[attr]
+        nested.__dict__ = dict(sorted(nested.__dict__.items()))
+        _sort_nested_links(nested.__dict__, type(nested))
+
+
+class TestCountedActivityCheckpoint:
+    """A checkpoint whose SLP/TLP state carries counted activity (the
+    layout of the same CHECKPOINT_VERSION before activity was derived)
+    restores and continues bit-identically to an uninterrupted run."""
+
+    @pytest.mark.parametrize("donor_engine", ("scalar", "batch"))
+    @pytest.mark.parametrize("prefetcher", ("slp", "tlp", "planaria",
+                                            "planaria-throttled"))
+    def test_resumes_bit_identically(self, tmp_path, prefetcher,
+                                     donor_engine):
+        from tests.test_batch_oracle import deep_diff
+
+        trace = _trace()
+        cut = len(trace) // 2
+        donor = _streaming_simulator(prefetcher, engine_mode=donor_engine)
+        donor.feed(trace[:cut])
+        state = donor.state_dict()
+        for saved, channel in zip(state["channels"], donor.channels):
+            _to_counted_activity_layout(saved["prefetcher"],
+                                        type(channel.prefetcher))
+        path = save_checkpoint(
+            tmp_path / "counted.ckpt",
+            Checkpoint(prefetcher=prefetcher, workload="stream",
+                       config=_config(), records_fed=cut, chunks_fed=1,
+                       state=state))
+        resumed = restore_simulator(load_checkpoint(path))
+        resumed.feed(trace[cut:])
+
+        reference = _streaming_simulator(prefetcher, engine_mode="scalar")
+        reference.feed(trace)
+        assert _metrics(resumed, prefetcher) == _metrics(reference, prefetcher)
+        assert resumed.power_report() == reference.power_report()
+        diffs = []
+        for index, (ref_ch, res_ch) in enumerate(zip(reference.channels,
+                                                     resumed.channels)):
+            assert (res_ch.prefetcher.activity
+                    == ref_ch.prefetcher.activity)
+            ref_state, res_state = ref_ch.state_dict(), res_ch.state_dict()
+            for saved in (ref_state, res_state):
+                _sort_nested_links(saved["prefetcher"],
+                                   type(ref_ch.prefetcher))
+            deep_diff(ref_state, res_state, path=f"channel[{index}]",
+                      out=diffs)
+        assert not diffs, "\n  ".join(diffs)
 
 
 class TestCheckpointFileFormat:
