@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _PROFILE_TOP_N, main
 
 
 class TestWorkloads:
@@ -42,6 +42,27 @@ class TestSimulate:
         assert main(["simulate", "--trace", str(path),
                      "--prefetchers", "none"]) == 0
         assert "none" in capsys.readouterr().out
+
+    def test_profile_leaves_output_unchanged(self, tmp_path, capsys):
+        import pstats
+
+        trace = tmp_path / "t.bin"
+        main(["generate", "CFM", str(trace), "--length", "2000"])
+        capsys.readouterr()
+        argv = ["simulate", "--trace", str(trace),
+                "--prefetchers", "none,planaria"]
+        plain_code = main(argv)
+        plain_out = capsys.readouterr().out
+        report = tmp_path / "profile.txt"
+        dump = tmp_path / "profile.pstats"
+        profiled_code = main(argv + ["--profile", str(report),
+                                     "--profile-out", str(dump)])
+        assert profiled_code == plain_code == 0
+        assert capsys.readouterr().out == plain_out
+        text = report.read_text()
+        assert "Ordered by: cumulative time" in text
+        assert f"due to restriction <{_PROFILE_TOP_N}>" in text
+        assert pstats.Stats(str(dump)).total_calls > 0
 
     def test_unknown_prefetcher(self, capsys):
         assert main(["simulate", "--prefetchers", "oracle"]) == 2
