@@ -25,16 +25,25 @@ state — while running several times faster.  Where the speed comes from:
   metric read/write counts, DRAM request counts, data-bus cycles) are not
   incremented per record; they are reconstructed exactly at sync time from
   the tick delta, the deferred latency lists and the delayed-hit count.
+  The active loop (:func:`_run_active`) derives its metric aggregates the
+  same way at chunk end; the passive loop keeps them inline.  The rule
+  reaches into the prefetchers too: SLP and TLP derive their metadata
+  ``activity`` from observe/lookup counts instead of counting each table
+  access.
 * **Deferred exact Welford** — DRAM demand-read / prefetch latencies are
   appended to plain lists and folded into the ``RunningStats`` aggregates
   in one post-pass (:func:`_welford_into`): identical recurrence, identical
   order, so the floats match bit for bit, but the loop body stays short.
-  Min/max fold via C-level ``min()``/``max()`` (order-free on ints).
-  Metric-side Welford streams stay inline (their order interleaves reads
-  and writes), but constant-latency hits skip the min/max compares and the
-  histogram dict probe — the skipped contributions are merged once at sync
-  (``min``/``max``/bucket counts are order-free, unlike the mean/M2
-  recurrence, which still runs per record).
+  Min/max fold via C-level ``min()``/``max()`` (order-free on ints).  The
+  active loop treats its metric streams the same way: each measured
+  latency (and each read's device value) goes to a chunk-local list, and
+  :func:`_fold_metrics` folds the all/read Welford streams, the latency
+  histogram and the per-device aggregates at chunk end, creating buckets
+  and device entries in first-seen order.  The passive loop keeps its
+  metric recurrences inline, where constant-latency hits skip the min/max
+  compares and the histogram dict probe — the skipped contributions are
+  merged once at sync (``min``/``max``/bucket counts are order-free,
+  unlike the mean/M2 recurrence, which still runs per record).
 * **Hit-trigger skipping** — every record is observed in scalar order;
   when the prefetcher declares ``hit_trigger_noop()`` (SLP, TLP,
   Planaria and throttle wrappers around them) a hit's ``issue`` call is
