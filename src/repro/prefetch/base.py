@@ -215,9 +215,9 @@ class Prefetcher(abc.ABC):
             link._restore_derived()
 
     def _restore_derived(self) -> None:
-        """Rebuild what :meth:`state_dict` leaves out and convert a state
-        saved in an older layout; :meth:`load_state` calls it on every
-        chain link.  Default: nothing to do."""
+        """Convert a state saved in an older layout after
+        :meth:`load_state`, which calls it on every chain link.  Default:
+        nothing to do."""
 
     # ------------------------------------------------------------------
     # Batch-engine contract (see repro.sim.batch)
